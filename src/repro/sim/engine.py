@@ -13,21 +13,25 @@ This module provides that arrangement:
 * :class:`ExperimentConfig` -- a frozen, hashable description of one sweep
   (memory organization, operating point, Monte-Carlo budget, master seed,
   protection schemes by name).
-* :class:`SweepEngine` -- shards the ``(failure_count x sample)`` grid into
-  independent work units, evaluates them inline (``workers=1``) or across a
-  :class:`concurrent.futures.ProcessPoolExecutor`, and merges the per-shard
-  results into :class:`QualityDistribution` objects.
-* shard-level checkpointing -- a JSON results cache keyed by a hash of the
-  full configuration, written after every completed shard, so interrupted
-  sweeps resume without re-evaluating finished dies.
+* :class:`SweepEngine` -- one sweep pipeline: it shards the ``(failure_count x
+  sample)`` grid into independent work units, evaluates them inline
+  (``workers=1``), across a process pool, or on remote workers, and folds each
+  scheme's per-die scores into a ``Pr(N = n)``-weighted ECDF.
+* durability -- a JSON checkpoint keyed by a hash of the full configuration,
+  written after every completed shard (or adaptive round) so interrupted
+  sweeps resume without re-evaluating finished dies, and an optional
+  :class:`~repro.store.ResultStore` that serves finished sweeps by the same
+  kind of hash.
 
-The engine supports two die evaluations over the same sharded grid:
-:meth:`SweepEngine.run` trains a benchmark on the corrupted features of every
-die (the Fig. 7 application study), while :meth:`SweepEngine.run_mse` scores
-each die by its local MSE (Eq. 6, the Fig. 5 study).  Both share the plan,
-the seeding scheme, the process fan-out, and the checkpoint cache; they are
-the two grid-point evaluators behind the :mod:`repro.dse` design-space
-exploration layer.
+The pipeline is the same for both studies; only the per-die score differs.
+:meth:`SweepEngine.run` scores a die by the quality a benchmark reaches when
+trained on the die's corrupted features (the Fig. 7 application study) and
+returns :class:`QualityDistribution` objects; :meth:`SweepEngine.run_mse`
+scores it by its local MSE (Eq. 6, the Fig. 5 study) and returns
+:class:`~repro.faultmodel.yieldmodel.MseDistribution` objects.  Everything
+else -- plan, seeding, fan-out, checkpoint, store, ECDF assembly -- is one
+code path, so both are the grid-point evaluators behind the :mod:`repro.dse`
+design-space exploration layer.
 
 Deterministic seeding scheme
 ----------------------------
@@ -52,10 +56,11 @@ for any worker count, shard size, or shard execution order.  Future schemes
 and samplers must follow the same rule -- consume randomness only from the
 die's own child sequence -- to stay reproducible.
 
-The engine also accepts pre-drawn fault maps (``fault_maps=``), which is how
-the legacy :class:`~repro.sim.runner.QualityExperimentRunner` API keeps its
-historical shared-generator sampling (and its golden regression curves) while
-delegating all evaluation, parallelism, and checkpointing to this engine.
+Either sweep also accepts pre-drawn fault maps (``fault_maps=``), which is
+how the legacy :class:`~repro.sim.runner.QualityExperimentRunner` API keeps
+its historical shared-generator sampling (and its golden regression curves)
+while delegating all evaluation, parallelism, and checkpointing to this
+engine.
 
 Budget modes and the streaming reduction
 ----------------------------------------
@@ -100,7 +105,16 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -130,7 +144,7 @@ from repro.sim.experiment import BenchmarkDefinition
 from repro.stats import (
     FixedGridEcdfSketch,
     StratumVarianceTracker,
-    StreamingMoments,
+    WeightedSampleBuffer,
     largest_remainder_allocation,
     normal_critical_value,
 )
@@ -536,12 +550,17 @@ class QualityDistribution:
 
 @dataclass(frozen=True)
 class SweepRunStats:
-    """Bookkeeping of the most recent :meth:`SweepEngine.run`/``run_mse`` call.
+    """Bookkeeping of the most recent sweep, whichever entry point ran it.
+
+    :meth:`SweepEngine.run` and :meth:`SweepEngine.run_mse` share one
+    pipeline and report through this one record; only :attr:`evaluation`
+    says which per-die score the sweep used.
 
     Attributes
     ----------
     evaluation:
-        ``"quality"`` or ``"mse"``.
+        The per-die score: ``"quality"`` (benchmark quality, Fig. 7) or
+        ``"mse"`` (local MSE, Fig. 5).  It is also the store record kind.
     store_key:
         Configuration hash used against the result store (``None`` when the
         run had no store configured).
@@ -973,14 +992,49 @@ def _summary_payload_scalars(summary: _ShardSummary) -> int:
     return total
 
 
-@dataclass
-class _AdaptiveOutcome:
-    """Merged state of one finished adaptive sweep (pre-assembly)."""
+def _check_cap_resumable(config: ExperimentConfig, cap_resumable: bool) -> None:
+    if cap_resumable and config.adaptive is None:
+        raise ValueError(
+            "adaptive_cap_resumable requires an adaptive budget (a fixed "
+            "budget has no round state to resume across caps)"
+        )
 
-    trackers: List[StratumVarianceTracker]
-    sketches: Dict[Tuple[int, int], FixedGridEcdfSketch]
-    samples_done: Dict[int, int]
-    report: AdaptiveBudgetReport
+
+def _payload_codec(evaluation: str) -> Tuple[Callable, Callable]:
+    """``(to_payload, from_payload)`` of one evaluation's store records.
+
+    Imported on use: the store package imports this module.
+    """
+    from repro.store import schema
+
+    if evaluation == "mse":
+        return schema.mse_results_to_payload, schema.mse_results_from_payload
+    return schema.quality_results_to_payload, schema.quality_results_from_payload
+
+
+@dataclass(frozen=True)
+class _SweepMode:
+    """What distinguishes the quality sweep (Fig. 7) from the MSE sweep (Fig. 5).
+
+    Both draw the same stratified die population and weight it by the same
+    ``Pr(N = n)``; only the per-die score differs, and with it:
+
+    * ``evaluation`` -- the score workers compute (``context["evaluation"]``);
+      it also names the store record kind and its payload codec;
+    * ``hash_kwargs`` -- the mode's :meth:`SweepEngine.config_hash` arguments;
+    * ``zero_mass`` -- the score of the fault-free ``Pr(N = 0)`` point mass,
+      or ``None`` to leave that mass out;
+    * ``context`` -- builds the mode's worker-context entries (called only on
+      a store miss: building may train the benchmark);
+    * ``distribution`` -- ``(scheme_name, ecdf, samples, context)`` to the
+      scheme's result object.
+    """
+
+    evaluation: str
+    hash_kwargs: Mapping[str, object]
+    zero_mass: Optional[float]
+    context: Callable[[], Dict[str, object]]
+    distribution: Callable[[str, WeightedEcdf, int, Mapping[str, object]], object]
 
 
 # --------------------------------------------------------------------------- #
@@ -1095,11 +1149,7 @@ class SweepEngine:
         hashes -- a cache written one way can never be misread the other.
         Requires an adaptive budget.
         """
-        if adaptive_cap_resumable and self._config.adaptive is None:
-            raise ValueError(
-                "adaptive_cap_resumable requires an adaptive budget (a fixed "
-                "budget has no round state to resume across caps)"
-            )
+        _check_cap_resumable(self._config, adaptive_cap_resumable)
         if fixed_point is None:
             fixed_point = FixedPointFormat(
                 total_bits=self._config.word_width,
@@ -1215,170 +1265,53 @@ class SweepEngine:
             it.  Requires an adaptive budget.
         """
         config = self._config
-        if self._scenario.transient is not None:
-            if config.master_seed is None or fault_maps is not None:
-                raise ValueError(
-                    "transient scenarios require seeded per-die sampling "
-                    "(a master_seed, no pre-drawn fault_maps): per-read "
-                    "corruption replays from each die's seed-sequence "
-                    "child, which pre-drawn maps do not carry"
-                )
         if fixed_point is None:
             fixed_point = FixedPointFormat(
                 total_bits=config.word_width, frac_bits=config.frac_bits
             )
-        executor_spec = ExecutorSpec.coerce(executor)
-        self._last_executor = "inline"
-        self._last_redispatched = 0
-        store_key: Optional[str] = None
-        if store is not None:
-            store_key = self.config_hash(benchmark, fault_maps, fixed_point)
-            record = store.get_record(store_key, kind="quality")
-            if record is not None:
-                return self._serve_stored_quality(record, store_key)
-        clean_quality = benchmark.clean_quality()
-        if clean_quality == 0.0:
-            raise ValueError(
-                "the benchmark's fault-free quality is zero; cannot normalise"
-            )
-        features = np.asarray(benchmark.train_features, dtype=np.float64)
-        raw_features = fixed_point.quantize_array(features)
 
-        context: Dict[str, object] = {
-            "evaluation": "quality",
-            "organization": config.organization,
-            "schemes": self._schemes,
-            "fixed_point": fixed_point,
-            "raw_features": raw_features,
-            "benchmark": benchmark,
-            "clean_quality": clean_quality,
-            "discard_multi_fault_words": config.discard_multi_fault_words,
-            "master_seed": config.master_seed,
-            "scenario": self._scenario,
-            "transient": self._scenario.transient,
-            "access_trace": config.access_trace,
-        }
-        if adaptive_cap_resumable and config.adaptive is None:
-            raise ValueError(
-                "adaptive_cap_resumable requires an adaptive budget"
-            )
-        if config.adaptive is not None:
-            self._check_adaptive_call(fault_maps, shard_size, shard_order)
-            config_hash = ""
-            if checkpoint is not None:
-                config_hash = self.config_hash(
-                    benchmark,
-                    None,
-                    fixed_point,
-                    adaptive_cap_resumable=adaptive_cap_resumable,
+        def context() -> Dict[str, object]:
+            clean_quality = benchmark.clean_quality()
+            if clean_quality == 0.0:
+                raise ValueError(
+                    "the benchmark's fault-free quality is zero; cannot normalise"
                 )
-            outcome = self._run_adaptive(
-                context,
-                zero_mass_value=1.0,
-                include_zero_mass=True,
-                workers=workers,
-                checkpoint=checkpoint,
-                config_hash=config_hash,
-                executor=executor_spec,
+            features = np.asarray(benchmark.train_features, dtype=np.float64)
+            return {
+                "fixed_point": fixed_point,
+                "raw_features": fixed_point.quantize_array(features),
+                "benchmark": benchmark,
+                "clean_quality": clean_quality,
+            }
+
+        def distribution(scheme_name, ecdf, samples, context):
+            return QualityDistribution(
+                benchmark=benchmark.name,
+                metric_name=benchmark.metric_name,
+                scheme_name=scheme_name,
+                p_cell=config.p_cell,
+                clean_quality=context["clean_quality"],
+                ecdf=ecdf,
+                samples=samples,
             )
-            results = self._merge_quality_adaptive(
-                benchmark, clean_quality, outcome
-            )
-            total_dies = outcome.report.total_dies
-        else:
-            config_hash = ""
-            if checkpoint is not None:
-                config_hash = self.config_hash(
-                    benchmark, fault_maps, fixed_point
-                )
-            die_results = self._execute(
-                context,
-                workers=workers,
-                checkpoint=checkpoint,
-                config_hash=config_hash,
-                shard_size=shard_size,
-                shard_order=shard_order,
-                fault_maps=fault_maps,
-                executor=executor_spec,
-            )
-            results = self._merge_quality(benchmark, clean_quality, die_results)
-            total_dies = len(die_results)
-        self._last_run_stats = SweepRunStats(
+
+        mode = _SweepMode(
             evaluation="quality",
-            store_key=store_key,
-            store_hit=False,
-            evaluated_dies=self._dies_evaluated,
-            total_dies=total_dies,
-            executor=self._last_executor,
-            redispatched_shards=self._last_redispatched,
+            hash_kwargs={"benchmark": benchmark, "fixed_point": fixed_point},
+            zero_mass=1.0,
+            context=context,
+            distribution=distribution,
         )
-        if store is not None and store_key is not None:
-            self._record_results(store, store_key, "quality", results)
-        return results
-
-    def _serve_stored_quality(
-        self, record: Mapping[str, object], store_key: str
-    ) -> Dict[str, QualityDistribution]:
-        """Decode a stored quality record -- the zero-evaluation hit path."""
-        from repro.store.schema import (
-            adaptive_report_from_payload,
-            quality_results_from_payload,
-        )
-
-        payload = record["payload"]
-        results = quality_results_from_payload(payload)
-        report = adaptive_report_from_payload(payload.get("adaptive_report"))
-        if report is not None:
-            self._last_adaptive_report = report
-        meta = record.get("meta", {})
-        self._last_run_stats = SweepRunStats(
-            evaluation="quality",
-            store_key=store_key,
-            store_hit=True,
-            evaluated_dies=0,
-            total_dies=int(meta.get("total_dies", 0)),
-            executor="store",
-        )
-        return results
-
-    def _record_results(
-        self,
-        store: "ResultStore",
-        store_key: str,
-        kind: str,
-        results: Mapping[str, object],
-    ) -> None:
-        """Append a finished sweep's results to the store."""
-        from repro.store.schema import (
-            mse_results_to_payload,
-            quality_results_to_payload,
-        )
-
-        stats = self._last_run_stats
-        assert stats is not None
-        report = (
-            self._last_adaptive_report
-            if self._config.adaptive is not None
-            else None
-        )
-        if kind == "quality":
-            payload = quality_results_to_payload(results, report)
-            benchmark_name = next(iter(results.values())).benchmark
-        else:
-            payload = mse_results_to_payload(results, report)
-            benchmark_name = None
-        store.put_record(
-            store_key,
-            kind,
-            payload,
-            meta={
-                "benchmark": benchmark_name,
-                "evaluation": kind,
-                "schemes": [scheme.name for scheme in self._schemes],
-                "p_cell": self._config.p_cell,
-                "evaluated_dies": stats.evaluated_dies,
-                "total_dies": stats.total_dies,
-            },
+        return self._sweep(
+            mode,
+            workers=workers,
+            checkpoint=checkpoint,
+            shard_size=shard_size,
+            shard_order=shard_order,
+            fault_maps=fault_maps,
+            store=store,
+            executor=executor,
+            adaptive_cap_resumable=adaptive_cap_resumable,
         )
 
     def run_mse(
@@ -1409,90 +1342,150 @@ class SweepEngine:
         ``adaptive_cap_resumable`` (checkpoint round-state shared across
         adaptive die caps).
         """
-        config = self._config
-        if adaptive_cap_resumable and config.adaptive is None:
-            raise ValueError(
-                "adaptive_cap_resumable requires an adaptive budget"
-            )
+        from repro.faultmodel.yieldmodel import MseDistribution
+
         if self._scenario.transient is not None:
             raise ValueError(
                 "the analytical MSE evaluation cannot model per-read "
                 "transient faults; run transient scenarios through the "
                 "quality sweep (SweepEngine.run / fig7) instead"
             )
+        config = self._config
+
+        def distribution(scheme_name, ecdf, samples, context):
+            return MseDistribution(
+                scheme_name=scheme_name,
+                p_cell=config.p_cell,
+                ecdf=ecdf,
+                zero_fault_probability=config.zero_fault_probability,
+                max_failures=config.max_failures,
+                samples=samples,
+            )
+
+        mode = _SweepMode(
+            evaluation="mse",
+            hash_kwargs={
+                "extra": {
+                    "evaluation": "mse",
+                    "include_fault_free": include_fault_free,
+                }
+            },
+            zero_mass=0.0 if include_fault_free else None,
+            context=dict,
+            distribution=distribution,
+        )
+        return self._sweep(
+            mode,
+            workers=workers,
+            checkpoint=checkpoint,
+            shard_size=shard_size,
+            shard_order=shard_order,
+            fault_maps=fault_maps,
+            store=store,
+            executor=executor,
+            adaptive_cap_resumable=adaptive_cap_resumable,
+        )
+
+    def _sweep(
+        self,
+        mode: _SweepMode,
+        *,
+        workers: int,
+        checkpoint: Optional[str],
+        shard_size: Optional[int],
+        shard_order: Optional[Sequence[int]],
+        fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]],
+        store: Optional["ResultStore"],
+        executor: Optional[object],
+        adaptive_cap_resumable: bool,
+    ) -> Dict[str, object]:
+        """The one sweep body behind :meth:`run` and :meth:`run_mse`.
+
+        Validates every argument, serves an exact store hit, otherwise runs
+        the fixed or adaptive budget over the mode's die score, folds each
+        scheme's scores into a ``Pr(N = n)``-weighted ECDF, and records the
+        result in the store.
+        """
+        config = self._config
+        self._validate(
+            workers=workers,
+            shard_size=shard_size,
+            shard_order=shard_order,
+            fault_maps=fault_maps,
+            adaptive_cap_resumable=adaptive_cap_resumable,
+        )
         executor_spec = ExecutorSpec.coerce(executor)
         self._last_executor = "inline"
         self._last_redispatched = 0
+
+        def key(cap_resumable: bool) -> str:
+            return self.config_hash(
+                fault_maps=fault_maps,
+                adaptive_cap_resumable=cap_resumable,
+                **mode.hash_kwargs,
+            )
+
         store_key: Optional[str] = None
         if store is not None:
-            store_key = self.config_hash(
-                None,
-                fault_maps,
-                extra={
-                    "evaluation": "mse",
-                    "include_fault_free": include_fault_free,
-                },
-            )
-            record = store.get_record(store_key, kind="mse")
+            store_key = key(False)
+            record = store.get_record(store_key, kind=mode.evaluation)
             if record is not None:
-                return self._serve_stored_mse(record, store_key)
+                return self._serve_stored(mode, record, store_key)
+        checkpoint_key = (
+            key(adaptive_cap_resumable) if checkpoint is not None else ""
+        )
         context: Dict[str, object] = {
-            "evaluation": "mse",
+            "evaluation": mode.evaluation,
             "organization": config.organization,
             "schemes": self._schemes,
             "discard_multi_fault_words": config.discard_multi_fault_words,
             "master_seed": config.master_seed,
             "scenario": self._scenario,
+            "transient": self._scenario.transient,
+            "access_trace": config.access_trace,
+            **mode.context(),
         }
+        zero_mass = (
+            None
+            if mode.zero_mass is None
+            else (mode.zero_mass, config.zero_fault_probability)
+        )
         if config.adaptive is not None:
-            self._check_adaptive_call(fault_maps, shard_size, shard_order)
-            config_hash = ""
-            if checkpoint is not None:
-                config_hash = self.config_hash(
-                    None,
-                    None,
-                    extra={
-                        "evaluation": "mse",
-                        "include_fault_free": include_fault_free,
-                    },
-                    adaptive_cap_resumable=adaptive_cap_resumable,
-                )
-            outcome = self._run_adaptive(
+            sketches, report = self._run_adaptive(
                 context,
-                zero_mass_value=0.0,
-                include_zero_mass=include_fault_free,
+                zero_mass=mode.zero_mass,
                 workers=workers,
                 checkpoint=checkpoint,
-                config_hash=config_hash,
+                config_hash=checkpoint_key,
                 executor=executor_spec,
             )
-            results = self._merge_mse_adaptive(outcome, include_fault_free)
-            total_dies = outcome.report.total_dies
+            total_dies = report.total_dies
+            ecdfs = [
+                self._adaptive_ecdf(sketches, scheme_index, zero_mass)
+                for scheme_index in range(len(self._schemes))
+            ]
         else:
-            config_hash = ""
-            if checkpoint is not None:
-                config_hash = self.config_hash(
-                    None,
-                    fault_maps,
-                    extra={
-                        "evaluation": "mse",
-                        "include_fault_free": include_fault_free,
-                    },
-                )
             die_results = self._execute(
                 context,
                 workers=workers,
                 checkpoint=checkpoint,
-                config_hash=config_hash,
+                config_hash=checkpoint_key,
                 shard_size=shard_size,
                 shard_order=shard_order,
                 fault_maps=fault_maps,
                 executor=executor_spec,
             )
-            results = self._merge_mse(die_results, include_fault_free)
             total_dies = len(die_results)
+            ecdfs = [
+                self._fixed_ecdf(die_results, scheme_index, zero_mass)
+                for scheme_index in range(len(self._schemes))
+            ]
+        results = {
+            scheme.name: mode.distribution(scheme.name, ecdf, total_dies, context)
+            for scheme, ecdf in zip(self._schemes, ecdfs)
+        }
         self._last_run_stats = SweepRunStats(
-            evaluation="mse",
+            evaluation=mode.evaluation,
             store_key=store_key,
             store_hit=False,
             evaluated_dies=self._dies_evaluated,
@@ -1500,27 +1493,70 @@ class SweepEngine:
             executor=self._last_executor,
             redispatched_shards=self._last_redispatched,
         )
-        if store is not None and store_key is not None:
-            self._record_results(store, store_key, "mse", results)
+        if store is not None:
+            self._record_results(store, store_key, mode, results)
         return results
 
-    def _serve_stored_mse(
-        self, record: Mapping[str, object], store_key: str
-    ) -> Dict[str, "MseDistribution"]:
-        """Decode a stored MSE record -- the zero-evaluation hit path."""
-        from repro.store.schema import (
-            adaptive_report_from_payload,
-            mse_results_from_payload,
-        )
+    def _validate(
+        self,
+        *,
+        workers: int,
+        shard_size: Optional[int],
+        shard_order: Optional[Sequence[int]],
+        fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]],
+        adaptive_cap_resumable: bool,
+    ) -> None:
+        """Reject bad sweep arguments -- before the store lookup, so whether a
+        result is cached never decides whether a call is valid."""
+        config = self._config
+        if workers < 1:
+            raise ValueError("workers must be at least 1")
+        _check_cap_resumable(config, adaptive_cap_resumable)
+        if self._scenario.transient is not None and (
+            config.master_seed is None or fault_maps is not None
+        ):
+            raise ValueError(
+                "transient scenarios require seeded per-die sampling "
+                "(a master_seed, no pre-drawn fault_maps): per-read "
+                "corruption replays from each die's seed-sequence "
+                "child, which pre-drawn maps do not carry"
+            )
+        if config.adaptive is None:
+            if shard_size is not None and shard_size < 1:
+                raise ValueError("shard_size must be at least 1")
+            if fault_maps is None and config.master_seed is None:
+                raise ValueError(
+                    "a master_seed is required unless pre-drawn fault_maps "
+                    "are supplied"
+                )
+            return
+        if fault_maps is not None:
+            raise ValueError(
+                "adaptive budgets draw each die from its own seed-sequence "
+                "child; pre-drawn fault_maps require the fixed budget"
+            )
+        if shard_size is not None or shard_order is not None:
+            raise ValueError(
+                "shard_size/shard_order do not apply to adaptive sweeps "
+                "(the controller shards each round at a fixed width)"
+            )
+        if config.master_seed is None:
+            raise ValueError("adaptive sweeps require a master_seed")
+
+    def _serve_stored(
+        self, mode: _SweepMode, record: Mapping[str, object], store_key: str
+    ) -> Dict[str, object]:
+        """Decode a stored record -- the zero-evaluation hit path."""
+        from repro.store.schema import adaptive_report_from_payload
 
         payload = record["payload"]
-        results = mse_results_from_payload(payload)
+        results = _payload_codec(mode.evaluation)[1](payload)
         report = adaptive_report_from_payload(payload.get("adaptive_report"))
         if report is not None:
             self._last_adaptive_report = report
         meta = record.get("meta", {})
         self._last_run_stats = SweepRunStats(
-            evaluation="mse",
+            evaluation=mode.evaluation,
             store_key=store_key,
             store_hit=True,
             evaluated_dies=0,
@@ -1528,6 +1564,35 @@ class SweepEngine:
             executor="store",
         )
         return results
+
+    def _record_results(
+        self,
+        store: "ResultStore",
+        store_key: str,
+        mode: _SweepMode,
+        results: Mapping[str, object],
+    ) -> None:
+        """Append a finished sweep's results to the store."""
+        stats = self._last_run_stats
+        report = (
+            self._last_adaptive_report
+            if self._config.adaptive is not None
+            else None
+        )
+        benchmark = mode.hash_kwargs.get("benchmark")
+        store.put_record(
+            store_key,
+            mode.evaluation,
+            _payload_codec(mode.evaluation)[0](results, report),
+            meta={
+                "benchmark": None if benchmark is None else benchmark.name,
+                "evaluation": mode.evaluation,
+                "schemes": [scheme.name for scheme in self._schemes],
+                "p_cell": self._config.p_cell,
+                "evaluated_dies": stats.evaluated_dies,
+                "total_dies": stats.total_dies,
+            },
+        )
 
     def _note_executor(self, dispatcher: ShardExecutor) -> None:
         """Record which executor tier ran and how many shards it re-dispatched
@@ -1547,14 +1612,7 @@ class SweepEngine:
         fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]],
         executor: Optional[ExecutorSpec] = None,
     ) -> Dict[int, List[float]]:
-        """Evaluate every pending die of the plan (the shared execution core)."""
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        if fault_maps is None and self._config.master_seed is None:
-            raise ValueError(
-                "a master_seed is required unless pre-drawn fault_maps are "
-                "supplied"
-            )
+        """Evaluate every pending die of the plan (the fixed-budget core)."""
         entries: List[_DieEntry] = []
         for die_index, count_index, sample_index, count in self.plan():
             explicit = None
@@ -1601,36 +1659,27 @@ class SweepEngine:
         with _ShardDispatcher(context, effective_workers, executor) as dispatcher:
             dispatcher.evaluate_unordered(shards, _absorb)
             self._note_executor(dispatcher)
+        missing = [e[0] for e in entries if e[0] not in die_results]
+        if missing:
+            raise RuntimeError(
+                f"sweep finished with {len(missing)} unevaluated dies "
+                f"(first: {missing[:5]}); this indicates a sharding bug"
+            )
         return die_results
 
     # ------------------------------------------------------------------ #
     # Adaptive budget controller
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _check_adaptive_call(fault_maps, shard_size, shard_order) -> None:
-        """Reject fixed-mode-only arguments on adaptive sweeps, loudly."""
-        if fault_maps is not None:
-            raise ValueError(
-                "adaptive budgets draw each die from its own seed-sequence "
-                "child; pre-drawn fault_maps require the fixed budget"
-            )
-        if shard_size is not None or shard_order is not None:
-            raise ValueError(
-                "shard_size/shard_order do not apply to adaptive sweeps "
-                "(the controller shards each round at a fixed width)"
-            )
-
     def _run_adaptive(
         self,
         context: Dict[str, object],
         *,
-        zero_mass_value: float,
-        include_zero_mass: bool,
+        zero_mass: Optional[float],
         workers: int,
         checkpoint: Optional[str],
         config_hash: str,
         executor: Optional[ExecutorSpec] = None,
-    ) -> "_AdaptiveOutcome":
+    ) -> Tuple[Dict[Tuple[int, int], FixedGridEcdfSketch], AdaptiveBudgetReport]:
         """Round-based confidence-driven sweep (the adaptive execution core).
 
         Each round fans a batch of dies out as fixed-width shards whose
@@ -1638,14 +1687,11 @@ class SweepEngine:
         shard order, re-estimates every scheme's yield-at-threshold CI, and
         either stops or Neyman-allocates the next round by the observed
         per-stratum standard deviations.  State is checkpointed after every
-        round when a cache path is given.
+        round when a cache path is given.  Returns the merged per-(scheme,
+        stratum) sketches and the run's report.
         """
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         config = self._config
         adaptive = config.adaptive
-        if config.master_seed is None:
-            raise ValueError("adaptive sweeps require a master_seed")
         evaluation = str(context["evaluation"])
         threshold = adaptive.resolved_threshold(evaluation)
         direction = "ge" if evaluation == "quality" else "le"
@@ -1663,15 +1709,10 @@ class SweepEngine:
         initial = min(
             adaptive.initial_samples_per_count, max_total // len(counts)
         )
-        if include_zero_mass:
-            zero_ok = (
-                zero_mass_value >= threshold
-                if direction == "ge"
-                else zero_mass_value <= threshold
-            )
-            baseline = config.zero_fault_probability if zero_ok else 0.0
-        else:
-            baseline = 0.0
+        zero_ok = zero_mass is not None and (
+            zero_mass >= threshold if direction == "ge" else zero_mass <= threshold
+        )
+        baseline = config.zero_fault_probability if zero_ok else 0.0
 
         n_schemes = len(self._schemes)
         trackers = [StratumVarianceTracker(weights) for _ in range(n_schemes)]
@@ -1826,95 +1867,10 @@ class SweepEngine:
             max_shard_payload_scalars=max_payload,
         )
         self._last_adaptive_report = report
-        return _AdaptiveOutcome(
-            trackers=trackers,
-            sketches=sketches,
-            samples_done=samples_done,
-            report=report,
-        )
-
-    def _adaptive_scheme_ecdf(
-        self,
-        outcome: "_AdaptiveOutcome",
-        scheme_index: int,
-        zero_mass: Optional[Tuple[float, float]],
-    ) -> WeightedEcdf:
-        """One scheme's CDF from its merged per-stratum sketches (O(bins)).
-
-        Mirrors :meth:`_scheme_groups`: the optional zero-fault point mass
-        first, then strata in count order, each stratum's bin masses scaled
-        to its ``Pr(N = n)`` weight.
-        """
-        from repro.stats import WeightedSampleBuffer
-
-        config = self._config
-        counts = config.evaluated_counts()
-        probabilities = config.count_probabilities()
-        buffer = WeightedSampleBuffer()
-        if zero_mass is not None:
-            buffer.update_batch([zero_mass[0]], [zero_mass[1]])
-        for ci, count in enumerate(counts):
-            sketch = outcome.sketches[(scheme_index, ci)]
-            support, mass = sketch.finalize()
-            if support.size == 0:
-                continue
-            buffer.update_batch(
-                support, probabilities[count] * mass / mass.sum()
-            )
-        return WeightedEcdf(*buffer.finalize())
-
-    def _merge_quality_adaptive(
-        self,
-        benchmark: BenchmarkDefinition,
-        clean_quality: float,
-        outcome: "_AdaptiveOutcome",
-    ) -> Dict[str, QualityDistribution]:
-        """Assemble adaptive quality distributions (sketch-backed ECDFs)."""
-        config = self._config
-        total_dies = sum(outcome.samples_done.values())
-        zero_mass = (1.0, config.zero_fault_probability)
-        results: Dict[str, QualityDistribution] = {}
-        for scheme_index, scheme in enumerate(self._schemes):
-            results[scheme.name] = QualityDistribution(
-                benchmark=benchmark.name,
-                metric_name=benchmark.metric_name,
-                scheme_name=scheme.name,
-                p_cell=config.p_cell,
-                clean_quality=clean_quality,
-                ecdf=self._adaptive_scheme_ecdf(
-                    outcome, scheme_index, zero_mass
-                ),
-                samples=total_dies,
-            )
-        return results
-
-    def _merge_mse_adaptive(
-        self, outcome: "_AdaptiveOutcome", include_fault_free: bool
-    ) -> Dict[str, "MseDistribution"]:
-        """Assemble adaptive MSE distributions (sketch-backed ECDFs)."""
-        from repro.faultmodel.yieldmodel import MseDistribution
-
-        config = self._config
-        total_dies = sum(outcome.samples_done.values())
-        zero_mass = (
-            (0.0, config.zero_fault_probability) if include_fault_free else None
-        )
-        results: Dict[str, MseDistribution] = {}
-        for scheme_index, scheme in enumerate(self._schemes):
-            results[scheme.name] = MseDistribution(
-                scheme_name=scheme.name,
-                p_cell=config.p_cell,
-                ecdf=self._adaptive_scheme_ecdf(
-                    outcome, scheme_index, zero_mass
-                ),
-                zero_fault_probability=config.zero_fault_probability,
-                max_failures=config.max_failures,
-                samples=total_dies,
-            )
-        return results
+        return sketches, report
 
     # ------------------------------------------------------------------ #
-    # Internals
+    # ECDF builders (shared by both evaluation modes)
     # ------------------------------------------------------------------ #
     @staticmethod
     def _make_shards(
@@ -1928,44 +1884,31 @@ class SweepEngine:
             # queue; inline runs keep several shards so checkpoints land
             # regularly.
             shard_size = max(1, math.ceil(len(entries) / max(4 * workers, 4)))
-        if shard_size < 1:
-            raise ValueError("shard_size must be at least 1")
         return [
             entries[start:start + shard_size]
             for start in range(0, len(entries), shard_size)
         ]
 
-    def _scheme_groups(
+    def _fixed_ecdf(
         self,
         die_results: Mapping[int, Sequence[float]],
         scheme_index: int,
-        zero_mass: Optional[Tuple[np.ndarray, float]],
-    ) -> List[Tuple[np.ndarray, float]]:
-        """Weighted value groups of one scheme, in the canonical die order.
+        zero_mass: Optional[Tuple[float, float]],
+    ) -> WeightedEcdf:
+        """One scheme's CDF from exact per-die scores (fixed budget).
 
-        Grouping iterates dies in ``(count_index, sample_index)`` order, so
-        the resulting :class:`WeightedEcdf` is identical no matter which shard
-        or worker produced each value, and bit-identical to the historical
-        serial implementations on the same dies.
+        The optional ``(score, Pr(N = 0))`` point mass comes first, then the
+        strata in count order, each die in ``sample_index`` order -- so the
+        result is identical no matter which shard or worker produced each
+        score, and bit-identical to the historical serial implementations.
         """
         config = self._config
-        counts = config.evaluated_counts()
         samples = config.samples_per_count
-        missing = [
-            die_index
-            for die_index in range(len(counts) * samples)
-            if die_index not in die_results
-        ]
-        if missing:
-            raise RuntimeError(
-                f"sweep finished with {len(missing)} unevaluated dies "
-                f"(first: {missing[:5]}); this indicates a sharding bug"
-            )
         probabilities = config.count_probabilities()
         groups: List[Tuple[np.ndarray, float]] = []
         if zero_mass is not None:
-            groups.append(zero_mass)
-        for count_index, count in enumerate(counts):
+            groups.append((np.array([zero_mass[0]]), zero_mass[1]))
+        for count_index, count in enumerate(config.evaluated_counts()):
             values = np.array(
                 [
                     die_results[count_index * samples + sample_index][
@@ -1975,56 +1918,30 @@ class SweepEngine:
                 ]
             )
             groups.append((values, probabilities[count]))
-        return groups
+        return WeightedEcdf.from_groups(groups)
 
-    def _merge_quality(
+    def _adaptive_ecdf(
         self,
-        benchmark: BenchmarkDefinition,
-        clean_quality: float,
-        die_results: Mapping[int, Sequence[float]],
-    ) -> Dict[str, QualityDistribution]:
-        """Assemble one normalised-quality distribution per scheme (Fig. 7)."""
-        config = self._config
-        samples = len(config.evaluated_counts()) * config.samples_per_count
-        zero_mass = (np.array([1.0]), config.zero_fault_probability)
-        results: Dict[str, QualityDistribution] = {}
-        for scheme_index, scheme in enumerate(self._schemes):
-            groups = self._scheme_groups(die_results, scheme_index, zero_mass)
-            results[scheme.name] = QualityDistribution(
-                benchmark=benchmark.name,
-                metric_name=benchmark.metric_name,
-                scheme_name=scheme.name,
-                p_cell=config.p_cell,
-                clean_quality=clean_quality,
-                ecdf=WeightedEcdf.from_groups(groups),
-                samples=samples,
-            )
-        return results
+        sketches: Mapping[Tuple[int, int], FixedGridEcdfSketch],
+        scheme_index: int,
+        zero_mass: Optional[Tuple[float, float]],
+    ) -> WeightedEcdf:
+        """One scheme's CDF from its merged per-stratum sketches (O(bins)).
 
-    def _merge_mse(
-        self,
-        die_results: Mapping[int, Sequence[float]],
-        include_fault_free: bool,
-    ) -> Dict[str, "MseDistribution"]:
-        """Assemble one MSE distribution per scheme (Fig. 5)."""
-        from repro.faultmodel.yieldmodel import MseDistribution
-
+        Same order as :meth:`_fixed_ecdf`: the optional point mass first,
+        then strata in count order, each stratum's bin masses scaled to its
+        ``Pr(N = n)`` weight.
+        """
         config = self._config
-        samples = len(config.evaluated_counts()) * config.samples_per_count
-        zero_mass = (
-            (np.array([0.0]), config.zero_fault_probability)
-            if include_fault_free
-            else None
-        )
-        results: Dict[str, MseDistribution] = {}
-        for scheme_index, scheme in enumerate(self._schemes):
-            groups = self._scheme_groups(die_results, scheme_index, zero_mass)
-            results[scheme.name] = MseDistribution(
-                scheme_name=scheme.name,
-                p_cell=config.p_cell,
-                ecdf=WeightedEcdf.from_groups(groups),
-                zero_fault_probability=config.zero_fault_probability,
-                max_failures=config.max_failures,
-                samples=samples,
+        probabilities = config.count_probabilities()
+        buffer = WeightedSampleBuffer()
+        if zero_mass is not None:
+            buffer.update_batch([zero_mass[0]], [zero_mass[1]])
+        for ci, count in enumerate(config.evaluated_counts()):
+            support, mass = sketches[(scheme_index, ci)].finalize()
+            if support.size == 0:
+                continue
+            buffer.update_batch(
+                support, probabilities[count] * mass / mass.sum()
             )
-        return results
+        return WeightedEcdf(*buffer.finalize())

@@ -252,6 +252,46 @@ class TestEngineStoreRoundTrip:
             assert store.record_count() == 2
 
 
+_SMALL_ADAPTIVE = AdaptiveBudget(
+    target_ci=0.5, initial_samples_per_count=2, round_dies=8
+)
+
+
+class TestArgumentsValidatedBeforeStoreLookup:
+    """A bad argument fails the same way whether or not the store holds the
+    result: validation never depends on the cache state."""
+
+    @pytest.mark.parametrize("entry", ["run", "run_mse"])
+    @pytest.mark.parametrize(
+        "adaptive, bad, message",
+        [
+            (None, {"adaptive_cap_resumable": True}, "requires an adaptive budget"),
+            (None, {"workers": 0}, "workers must be at least 1"),
+            (None, {"shard_size": 0}, "shard_size must be at least 1"),
+            (_SMALL_ADAPTIVE, {"workers": 0}, "workers must be at least 1"),
+            (_SMALL_ADAPTIVE, {"shard_size": 4}, "shard_size/shard_order"),
+            (_SMALL_ADAPTIVE, {"fault_maps": {}}, "fault_maps require the fixed"),
+        ],
+        ids=[
+            "fixed-cap-resumable", "fixed-workers", "fixed-shard-size",
+            "adaptive-workers", "adaptive-shard-size", "adaptive-fault-maps",
+        ],
+    )
+    def test_rejected_on_miss_and_on_hit(
+        self, tmp_path, entry, adaptive, bad, message
+    ):
+        config = _quick_config(adaptive=adaptive)
+        args = (_quick_benchmark(),) if entry == "run" else ()
+        with ResultStore(str(tmp_path / "s")) as store:
+            for target in (None, store):
+                with pytest.raises(ValueError, match=message):
+                    getattr(SweepEngine(config), entry)(
+                        *args, store=target, **bad
+                    )
+                if target is None:
+                    getattr(SweepEngine(config), entry)(*args, store=store)
+
+
 # --------------------------------------------------------------------------- #
 # Concurrent writers
 # --------------------------------------------------------------------------- #
