@@ -14,24 +14,20 @@ This module provides that arrangement:
   (memory organization, operating point, Monte-Carlo budget, master seed,
   protection schemes by name).
 * :class:`SweepEngine` -- one sweep pipeline: it shards the ``(failure_count x
-  sample)`` grid into independent work units, evaluates them inline
-  (``workers=1``), across a process pool, or on remote workers, and folds each
-  scheme's per-die scores into a ``Pr(N = n)``-weighted ECDF.
+  sample)`` grid into independent work units, evaluates them inline, on a
+  process pool, or on remote workers, and folds each scheme's per-die scores
+  into a ``Pr(N = n)``-weighted ECDF.
 * durability -- a JSON checkpoint keyed by a hash of the full configuration,
-  written after every completed shard (or adaptive round) so interrupted
-  sweeps resume without re-evaluating finished dies, and an optional
-  :class:`~repro.store.ResultStore` that serves finished sweeps by the same
-  kind of hash.
+  rewritten after every shard or adaptive round, so interrupted sweeps resume
+  without re-evaluating finished dies; a :class:`~repro.store.ResultStore`
+  serves finished sweeps by the same kind of hash.
 
-The pipeline is the same for both studies; only the per-die score differs.
-:meth:`SweepEngine.run` scores a die by the quality a benchmark reaches when
-trained on the die's corrupted features (the Fig. 7 application study) and
-returns :class:`QualityDistribution` objects; :meth:`SweepEngine.run_mse`
-scores it by its local MSE (Eq. 6, the Fig. 5 study) and returns
-:class:`~repro.faultmodel.yieldmodel.MseDistribution` objects.  Everything
-else -- plan, seeding, fan-out, checkpoint, store, ECDF assembly -- is one
-code path, so both are the grid-point evaluators behind the :mod:`repro.dse`
-design-space exploration layer.
+Only the per-die score differs between the two studies.
+:meth:`SweepEngine.run` scores a die by the quality of a benchmark trained on
+its corrupted features (Fig. 7); :meth:`SweepEngine.run_mse` scores it by its
+local MSE (Eq. 6, Fig. 5).  Plan, seeding, fan-out, checkpoint, store and ECDF
+assembly are one code path, and the two are the grid-point evaluators behind
+the :mod:`repro.dse` design-space exploration layer.
 
 Deterministic seeding scheme
 ----------------------------
@@ -104,7 +100,7 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -202,25 +198,21 @@ def build_scheme(spec: str, word_width: int) -> ProtectionScheme:
     normalized = spec.strip().lower()
     if normalized in ("none", "no-protection"):
         return NoProtection(word_width)
-    if normalized == "secded" or normalized.startswith("secded-"):
-        scheme = SecdedScheme(word_width)
-        # Only the variant this registry can actually build is accepted; a
-        # config naming some other code must fail loudly, not run silently
-        # with the default.
-        if normalized not in ("secded", scheme.name.lower()):
-            raise ValueError(
-                f"unknown SECDED variant {spec!r}; for {word_width}-bit words "
-                f"this registry builds {scheme.name!r}"
-            )
-        return scheme
-    if normalized == "p-ecc" or normalized.startswith("p-ecc-"):
-        scheme = PriorityEccScheme(word_width)
-        if normalized not in ("p-ecc", scheme.name.lower()):
-            raise ValueError(
-                f"unknown P-ECC variant {spec!r}; for {word_width}-bit words "
-                f"this registry builds {scheme.name!r}"
-            )
-        return scheme
+    for prefix, label, cls in (
+        ("secded", "SECDED", SecdedScheme),
+        ("p-ecc", "P-ECC", PriorityEccScheme),
+    ):
+        if normalized == prefix or normalized.startswith(prefix + "-"):
+            scheme = cls(word_width)
+            # Only the variant this registry can actually build is accepted;
+            # a config naming some other code must fail loudly, not run
+            # silently with the default.
+            if normalized not in (prefix, scheme.name.lower()):
+                raise ValueError(
+                    f"unknown {label} variant {spec!r}; for {word_width}-bit "
+                    f"words this registry builds {scheme.name!r}"
+                )
+            return scheme
     match = re.fullmatch(r"bit-shuffle-nfm(\d+)", normalized)
     if match:
         return BitShuffleScheme(word_width, int(match.group(1)))
@@ -364,15 +356,7 @@ class AdaptiveBudget:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable representation (keys the checkpoint hash)."""
-        return {
-            "target_ci": self.target_ci,
-            "confidence": self.confidence,
-            "threshold": self.threshold,
-            "initial_samples_per_count": self.initial_samples_per_count,
-            "round_dies": self.round_dies,
-            "max_total_samples": self.max_total_samples,
-            "sketch_bins": self.sketch_bins,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -407,32 +391,18 @@ class AdaptiveBudgetReport:
         return max(self.half_widths.values())
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe state (stored with adaptive records in the result store)."""
-        return {
-            "evaluation": self.evaluation,
-            "threshold": self.threshold,
-            "target_ci": self.target_ci,
-            "confidence": self.confidence,
-            "reached": self.reached,
-            "rounds": self.rounds,
-            "total_dies": self.total_dies,
-            "max_total_dies": self.max_total_dies,
-            "half_widths": dict(self.half_widths),
-            "estimates": dict(self.estimates),
-            "samples_per_count": {
-                str(count): dies
-                for count, dies in self.samples_per_count.items()
-            },
-            "stratum_weights": {
-                str(count): weight
-                for count, weight in self.stratum_weights.items()
-            },
-            "stratum_stds": {
-                scheme: {str(count): std for count, std in stds.items()}
-                for scheme, stds in self.stratum_stds.items()
-            },
-            "max_shard_payload_scalars": self.max_shard_payload_scalars,
+        """JSON-safe state (stored with adaptive records in the result store).
+
+        Count-keyed maps get string keys, as JSON objects require.
+        """
+        data = asdict(self)
+        for name in ("samples_per_count", "stratum_weights"):
+            data[name] = {str(count): v for count, v in data[name].items()}
+        data["stratum_stds"] = {
+            scheme: {str(count): std for count, std in stds.items()}
+            for scheme, stds in data["stratum_stds"].items()
         }
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "AdaptiveBudgetReport":
@@ -550,11 +520,9 @@ class QualityDistribution:
 
 @dataclass(frozen=True)
 class SweepRunStats:
-    """Bookkeeping of the most recent sweep, whichever entry point ran it.
-
-    :meth:`SweepEngine.run` and :meth:`SweepEngine.run_mse` share one
-    pipeline and report through this one record; only :attr:`evaluation`
-    says which per-die score the sweep used.
+    """Bookkeeping of the most recent sweep, whichever entry point ran it
+    (:meth:`SweepEngine.run` and :meth:`SweepEngine.run_mse` share one
+    pipeline; only :attr:`evaluation` tells them apart).
 
     Attributes
     ----------
@@ -847,14 +815,9 @@ class ExperimentConfig:
 _DieEntry = _shardeval.DieEntry
 _AdaptiveEntry = _shardeval.AdaptiveEntry
 _ShardSummary = _shardeval.ShardSummary
-_REJECTION_MAX_ATTEMPTS = _shardeval.REJECTION_MAX_ATTEMPTS
 _SharedBenchmark = _shardeval._SharedBenchmark
 _share_context = _shardeval.share_context
 _materialize_context = _shardeval.materialize_context
-_init_worker = _shardeval.init_worker
-_sample_die_map = _shardeval._sample_die_map
-_die_transient_seed = _shardeval._die_transient_seed
-_evaluate_die = _shardeval._evaluate_die
 _evaluate_shard = _shardeval.evaluate_shard
 _summarize_shard = _shardeval.summarize_shard
 
@@ -969,27 +932,20 @@ def _ShardDispatcher(
     workers: int,
     spec: Optional[ExecutorSpec] = None,
 ) -> ShardExecutor:
-    """Build the shard executor of one sweep (back-compat factory).
+    """Build the shard executor of one sweep.
 
-    Historically this was a class owning the optional process pool and
-    shared-memory blocks; the behaviour now lives in the pluggable
-    :mod:`repro.sim.executor` tier, and this factory keeps the engine's
-    (and the tests') construction site unchanged: ``workers == 1`` -- or an
-    explicit ``inline`` spec -- evaluates in-process, ``workers > 1``
-    builds the shared-memory process pool, and a ``tcp`` spec builds the
-    coordinator that serves shards to remote workers.  The returned
-    executor is a context manager; the engine drives it with ``with`` so
-    pools, sockets, and shared blocks are released on every exit path.
+    ``workers == 1`` -- or an explicit ``inline`` spec -- evaluates
+    in-process, ``workers > 1`` builds the shared-memory process pool, and a
+    ``tcp`` spec builds the coordinator that serves shards to remote
+    workers.  The executor is a context manager that releases pools,
+    sockets, and shared blocks on every exit path.
     """
     return make_executor(context, workers, spec=spec, runner=_inline_run_shard)
 
 
 def _summary_payload_scalars(summary: _ShardSummary) -> int:
     """Scalar count of one shard's summary payload (the O(bins) witness)."""
-    total = 0
-    for _key, _moments, sketch in summary:
-        total += 5 + sketch.payload_scalars()
-    return total
+    return sum(5 + sketch.payload_scalars() for _key, _moments, sketch in summary)
 
 
 def _check_cap_resumable(config: ExperimentConfig, cap_resumable: bool) -> None:
@@ -1014,20 +970,20 @@ def _payload_codec(evaluation: str) -> Tuple[Callable, Callable]:
 
 @dataclass(frozen=True)
 class _SweepMode:
-    """What distinguishes the quality sweep (Fig. 7) from the MSE sweep (Fig. 5).
+    """What the quality sweep (Fig. 7) and the MSE sweep (Fig. 5) differ in.
 
-    Both draw the same stratified die population and weight it by the same
-    ``Pr(N = n)``; only the per-die score differs, and with it:
+    Both draw the same stratified dies weighted by the same ``Pr(N = n)``;
+    only the per-die score differs, and with it:
 
-    * ``evaluation`` -- the score workers compute (``context["evaluation"]``);
-      it also names the store record kind and its payload codec;
+    * ``evaluation`` -- the score workers compute (``context["evaluation"]``),
+      which also names the store record kind and its payload codec;
     * ``hash_kwargs`` -- the mode's :meth:`SweepEngine.config_hash` arguments;
-    * ``zero_mass`` -- the score of the fault-free ``Pr(N = 0)`` point mass,
-      or ``None`` to leave that mass out;
-    * ``context`` -- builds the mode's worker-context entries (called only on
-      a store miss: building may train the benchmark);
-    * ``distribution`` -- ``(scheme_name, ecdf, samples, context)`` to the
-      scheme's result object.
+    * ``zero_mass`` -- the score of the ``Pr(N = 0)`` point mass, or ``None``
+      to leave it out;
+    * ``context`` -- builds the mode's worker-context entries (only on a store
+      miss: building may train the benchmark);
+    * ``distribution`` -- ``(scheme_name, ecdf, samples, context)`` to one
+      scheme's result.
     """
 
     evaluation: str
@@ -1041,7 +997,7 @@ class _SweepMode:
 # Engine
 # --------------------------------------------------------------------------- #
 class SweepEngine:
-    """Sharded, optionally multi-process executor for quality sweeps.
+    """Sharded, optionally multi-process executor for quality and MSE sweeps.
 
     Parameters
     ----------
@@ -1445,11 +1401,10 @@ class SweepEngine:
             "access_trace": config.access_trace,
             **mode.context(),
         }
-        zero_mass = (
-            None
-            if mode.zero_mass is None
-            else (mode.zero_mass, config.zero_fault_probability)
-        )
+        zero_mass = None
+        if mode.zero_mass is not None:
+            zero_mass = (mode.zero_mass, config.zero_fault_probability)
+        report: Optional[AdaptiveBudgetReport] = None
         if config.adaptive is not None:
             sketches, report = self._run_adaptive(
                 context,
@@ -1460,9 +1415,10 @@ class SweepEngine:
                 executor=executor_spec,
             )
             total_dies = report.total_dies
-            ecdfs = [
-                self._adaptive_ecdf(sketches, scheme_index, zero_mass)
-                for scheme_index in range(len(self._schemes))
+            counts = range(len(config.evaluated_counts()))
+            strata = [
+                [sketches[(si, ci)].finalize() for ci in counts]
+                for si in range(len(self._schemes))
             ]
         else:
             die_results = self._execute(
@@ -1476,13 +1432,25 @@ class SweepEngine:
                 executor=executor_spec,
             )
             total_dies = len(die_results)
-            ecdfs = [
-                self._fixed_ecdf(die_results, scheme_index, zero_mass)
-                for scheme_index in range(len(self._schemes))
+            # Rows are dies in canonical (count_index, sample_index) order.
+            scores = np.array([die_results[die] for die in range(total_dies)])
+            width = config.samples_per_count
+            unit = np.ones(width)
+            strata = [
+                [
+                    (scores[start:start + width, si], unit)
+                    for start in range(0, total_dies, width)
+                ]
+                for si in range(len(self._schemes))
             ]
         results = {
-            scheme.name: mode.distribution(scheme.name, ecdf, total_dies, context)
-            for scheme, ecdf in zip(self._schemes, ecdfs)
+            scheme.name: mode.distribution(
+                scheme.name,
+                self._scheme_ecdf(strata[si], zero_mass),
+                total_dies,
+                context,
+            )
+            for si, scheme in enumerate(self._schemes)
         }
         self._last_run_stats = SweepRunStats(
             evaluation=mode.evaluation,
@@ -1494,7 +1462,7 @@ class SweepEngine:
             redispatched_shards=self._last_redispatched,
         )
         if store is not None:
-            self._record_results(store, store_key, mode, results)
+            self._record_results(store, store_key, mode, results, report)
         return results
 
     def _validate(
@@ -1571,14 +1539,10 @@ class SweepEngine:
         store_key: str,
         mode: _SweepMode,
         results: Mapping[str, object],
+        report: Optional[AdaptiveBudgetReport],
     ) -> None:
         """Append a finished sweep's results to the store."""
         stats = self._last_run_stats
-        report = (
-            self._last_adaptive_report
-            if self._config.adaptive is not None
-            else None
-        )
         benchmark = mode.hash_kwargs.get("benchmark")
         store.put_record(
             store_key,
@@ -1870,7 +1834,7 @@ class SweepEngine:
         return sketches, report
 
     # ------------------------------------------------------------------ #
-    # ECDF builders (shared by both evaluation modes)
+    # Internals
     # ------------------------------------------------------------------ #
     @staticmethod
     def _make_shards(
@@ -1889,59 +1853,28 @@ class SweepEngine:
             for start in range(0, len(entries), shard_size)
         ]
 
-    def _fixed_ecdf(
+    def _scheme_ecdf(
         self,
-        die_results: Mapping[int, Sequence[float]],
-        scheme_index: int,
+        strata: Sequence[Tuple[np.ndarray, np.ndarray]],
         zero_mass: Optional[Tuple[float, float]],
     ) -> WeightedEcdf:
-        """One scheme's CDF from exact per-die scores (fixed budget).
+        """One scheme's ``Pr(N = n)``-weighted CDF, for either budget.
 
-        The optional ``(score, Pr(N = 0))`` point mass comes first, then the
-        strata in count order, each die in ``sample_index`` order -- so the
-        result is identical no matter which shard or worker produced each
-        score, and bit-identical to the historical serial implementations.
-        """
-        config = self._config
-        samples = config.samples_per_count
-        probabilities = config.count_probabilities()
-        groups: List[Tuple[np.ndarray, float]] = []
-        if zero_mass is not None:
-            groups.append((np.array([zero_mass[0]]), zero_mass[1]))
-        for count_index, count in enumerate(config.evaluated_counts()):
-            values = np.array(
-                [
-                    die_results[count_index * samples + sample_index][
-                        scheme_index
-                    ]
-                    for sample_index in range(samples)
-                ]
-            )
-            groups.append((values, probabilities[count]))
-        return WeightedEcdf.from_groups(groups)
-
-    def _adaptive_ecdf(
-        self,
-        sketches: Mapping[Tuple[int, int], FixedGridEcdfSketch],
-        scheme_index: int,
-        zero_mass: Optional[Tuple[float, float]],
-    ) -> WeightedEcdf:
-        """One scheme's CDF from its merged per-stratum sketches (O(bins)).
-
-        Same order as :meth:`_fixed_ecdf`: the optional point mass first,
-        then strata in count order, each stratum's bin masses scaled to its
-        ``Pr(N = n)`` weight.
+        ``strata`` holds one ``(scores, mass)`` pair per failure count, in
+        count order: exact per-die scores with unit mass (fixed budget), or
+        merged sketch support and bin masses (adaptive).  The optional
+        ``(score, Pr(N = 0))`` point mass comes first, then each stratum
+        scaled to its weight -- a canonical order, so the CDF never depends
+        on which shard or worker produced a score.
         """
         config = self._config
         probabilities = config.count_probabilities()
         buffer = WeightedSampleBuffer()
         if zero_mass is not None:
             buffer.update_batch([zero_mass[0]], [zero_mass[1]])
-        for ci, count in enumerate(config.evaluated_counts()):
-            support, mass = sketches[(scheme_index, ci)].finalize()
-            if support.size == 0:
-                continue
-            buffer.update_batch(
-                support, probabilities[count] * mass / mass.sum()
-            )
+        for (scores, mass), count in zip(strata, config.evaluated_counts()):
+            if scores.size:
+                buffer.update_batch(
+                    scores, probabilities[count] * mass / mass.sum()
+                )
         return WeightedEcdf(*buffer.finalize())
