@@ -1408,7 +1408,7 @@ class SweepEngine:
         if config.adaptive is not None:
             sketches, report = self._run_adaptive(
                 context,
-                zero_mass=mode.zero_mass,
+                zero_mass=zero_mass,
                 workers=workers,
                 checkpoint=checkpoint,
                 config_hash=checkpoint_key,
@@ -1638,7 +1638,7 @@ class SweepEngine:
         self,
         context: Dict[str, object],
         *,
-        zero_mass: Optional[float],
+        zero_mass: Optional[Tuple[float, float]],
         workers: int,
         checkpoint: Optional[str],
         config_hash: str,
@@ -1674,9 +1674,9 @@ class SweepEngine:
             adaptive.initial_samples_per_count, max_total // len(counts)
         )
         zero_ok = zero_mass is not None and (
-            zero_mass >= threshold if direction == "ge" else zero_mass <= threshold
+            zero_mass[0] >= threshold if direction == "ge" else zero_mass[0] <= threshold
         )
-        baseline = config.zero_fault_probability if zero_ok else 0.0
+        baseline = zero_mass[1] if zero_ok else 0.0
 
         n_schemes = len(self._schemes)
         trackers = [StratumVarianceTracker(weights) for _ in range(n_schemes)]
