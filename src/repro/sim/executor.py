@@ -675,19 +675,23 @@ class TcpExecutor(ShardExecutor):
             pass
         finally:
             scheduler: Optional[WorkStealingScheduler] = None
+            # A registered worker's connection belongs to this thread until
+            # close() takes it out of ``_workers`` to send the shutdown
+            # frame; closing it here after that would race the frame and
+            # the worker would see a lost connection, not a finished sweep.
+            owned = True
             with self._lock:
-                if (
-                    worker_id is not None
-                    and self._workers.pop(worker_id, None) is not None
-                ):
-                    if not self._closing:
+                if worker_id is not None:
+                    owned = self._workers.pop(worker_id, None) is not None
+                    if owned:
                         self.stats.workers_lost += 1
-                    self._last_worker_event = time.monotonic()
-                    self._lock.notify_all()
+                        self._last_worker_event = time.monotonic()
+                        self._lock.notify_all()
                 scheduler = self._scheduler
             if worker_id is not None and scheduler is not None:
                 scheduler.fail_owner(worker_id)
-            conn.close()
+            if owned:
+                conn.close()
 
     @staticmethod
     def _reject(conn: wire.Connection, reason: str) -> None:
@@ -842,6 +846,7 @@ class TcpExecutor(ShardExecutor):
                 return
             self._closing = True
             workers = list(self._workers.values())
+            self._workers.clear()
             self._lock.notify_all()
         for conn in workers:
             try:
