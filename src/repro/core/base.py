@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ class ProtectionScheme(ABC):
         if word_width <= 0:
             raise ValueError(f"word_width must be positive, got {word_width}")
         self._word_width = word_width
+        self._energy_table: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # Static properties
@@ -174,6 +175,30 @@ class ProtectionScheme(ABC):
         returned list may be empty (all faults neutralised), and its entries
         are the positions whose weight ``2**b`` enters the local MSE (Eq. 6).
         """
+
+    def residual_energy_table(self) -> np.ndarray:
+        """Eq. 6 error energy of a lone fault at each data column.
+
+        Entry ``c`` is ``word_error_energy(residual_error_positions(0, [c]))``
+        as a read-only ``float64`` array of ``word_width`` entries.  Every
+        scheme derives a row's residual error from the row's faulty-column set
+        alone, so under one fault per word a die's local MSE is a gather from
+        this table.  The table is built on first use and cached: a scheme's
+        configuration is fixed at construction, so it never goes stale.
+        """
+        if self._energy_table is None:
+            from repro.quality.mse import word_error_energy
+
+            table = np.array(
+                [
+                    word_error_energy(self.residual_error_positions(0, [column]))
+                    for column in range(self._word_width)
+                ],
+                dtype=np.float64,
+            )
+            table.setflags(write=False)
+            self._energy_table = table
+        return self._energy_table
 
     # ------------------------------------------------------------------ #
     # Convenience

@@ -26,13 +26,23 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.memory.organization import MemoryOrganization
 
-__all__ = ["FaultKind", "FaultSite", "FaultMap"]
+__all__ = ["FaultKind", "FaultSite", "FaultMap", "RowGrouping"]
 
 
 class FaultKind(str, Enum):
@@ -56,6 +66,19 @@ class FaultSite:
             raise ValueError(f"row must be non-negative, got {self.row}")
         if self.column < 0:
             raise ValueError(f"column must be non-negative, got {self.column}")
+
+
+class RowGrouping(NamedTuple):
+    """A die's faulty rows, in the order their first fault appears in the map.
+
+    ``first_columns[i]`` is the column of the first fault of the ``i``-th
+    faulty row (``int64``).  ``multi_fault_rows`` lists the rows holding more
+    than one fault as ``(i, row, sorted columns)``; every other row's fault
+    set is exactly ``first_columns[i]``.
+    """
+
+    first_columns: np.ndarray
+    multi_fault_rows: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
 
 
 class FaultMap:
@@ -85,6 +108,7 @@ class FaultMap:
             by_cell[key] = fault
         self._faults = by_cell
         self._mask_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._grouping_cache: Optional[RowGrouping] = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -132,6 +156,37 @@ class FaultMap:
         for columns in result.values():
             columns.sort()
         return result
+
+    def row_grouping(self) -> RowGrouping:
+        """Faulty rows grouped in first-appearance order (see :class:`RowGrouping`).
+
+        Rows appear in the same order as the keys of
+        :meth:`faulty_columns_by_row`.  The grouping is built once per map and
+        cached (faults are persistent), so every scheme scored on the die
+        shares it.
+        """
+        if self._grouping_cache is None:
+            index_of_row: Dict[int, int] = {}
+            first_columns: List[int] = []
+            extra_columns: Dict[int, List[int]] = {}
+            for row, column in self._faults:
+                if row in index_of_row:
+                    extra_columns.setdefault(row, []).append(column)
+                else:
+                    index_of_row[row] = len(first_columns)
+                    first_columns.append(column)
+            multi_fault_rows = tuple(
+                (
+                    index_of_row[row],
+                    row,
+                    tuple(sorted([first_columns[index_of_row[row]], *columns])),
+                )
+                for row, columns in extra_columns.items()
+            )
+            first = np.array(first_columns, dtype=np.int64)
+            first.setflags(write=False)
+            self._grouping_cache = RowGrouping(first, multi_fault_rows)
+        return self._grouping_cache
 
     def max_faults_per_row(self) -> int:
         """Largest number of faulty cells sharing a single row (0 if fault-free)."""

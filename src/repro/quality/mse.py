@@ -9,12 +9,30 @@ where ``b_i`` is the (logical) bit position corrupted by the i-th failure and
 ``R`` the number of rows.  With a protection scheme in place the positions
 ``b_i`` are the *residual* positions after mitigation, which is exactly what
 :meth:`repro.core.base.ProtectionScheme.residual_error_positions` reports.
+
+:func:`mse_of_fault_map` scores a die without calling that method per row.
+Every scheme derives a row's residual error from the row's faulty-column set
+alone, so a row holding one fault at column ``c`` contributes entry ``c`` of
+the scheme's :meth:`~repro.core.base.ProtectionScheme.residual_energy_table`.
+A die's per-row energies are one gather from that table at the first-fault
+column of each faulty row (:meth:`repro.memory.faults.FaultMap.row_grouping`);
+only rows holding more than one fault fall back to the scalar
+``word_error_energy(residual_error_positions(row, columns))``.
+
+The energies are then summed *sequentially*, left to right, in the rows'
+first-appearance order in the fault map -- the order in which the scalar
+reference :func:`mse_from_error_positions` accumulates them.  ``np.cumsum``
+keeps that order; ``np.sum`` (pairwise) and, on Python 3.12+, the builtin
+``sum`` (compensated) do not, and would change the last bits of the result
+that the exact Fig. 5 goldens pin.  The scalar functions stay public as the
+reference the table-driven path is tested against.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
 
 from repro.core.base import ProtectionScheme
 from repro.memory.faults import FaultMap
@@ -55,12 +73,21 @@ def mse_of_fault_map(fault_map: FaultMap, scheme: ProtectionScheme) -> float:
     vulnerable; the worst case (every residual bit actually wrong) defines the
     contribution of that row.  This matches the paper's analytical evaluation,
     which charges each failure its full error magnitude.
+
+    The result equals :func:`mse_from_error_positions` over
+    ``scheme.residual_error_positions(row, columns)`` for every faulty row,
+    bit for bit; see the module docstring for how it is computed.
     """
     if fault_map.organization.word_width != scheme.word_width:
         raise ValueError(
             "fault map word width does not match the protection scheme"
         )
-    per_row_positions = []
-    for row, columns in fault_map.faulty_columns_by_row().items():
-        per_row_positions.append(scheme.residual_error_positions(row, columns))
-    return mse_from_error_positions(per_row_positions, fault_map.organization.rows)
+    grouping = fault_map.row_grouping()
+    if not grouping.first_columns.size:
+        return 0.0
+    energies = scheme.residual_energy_table()[grouping.first_columns]
+    for index, row, columns in grouping.multi_fault_rows:
+        energies[index] = word_error_energy(
+            scheme.residual_error_positions(row, columns)
+        )
+    return float(np.cumsum(energies)[-1]) / fault_map.organization.rows

@@ -1290,6 +1290,12 @@ class SweepEngine:
         :func:`~repro.quality.mse.mse_of_fault_map` per scheme -- instead of
         retraining a benchmark, and the merged result is one
         :class:`~repro.faultmodel.yieldmodel.MseDistribution` per scheme.
+        Scoring a die is one gather from the scheme's
+        :meth:`~repro.core.base.ProtectionScheme.residual_energy_table` at
+        the die's first faulty column per row, with a scalar fallback for the
+        rows holding more than one fault, followed by a sequential sum in the
+        rows' first-appearance order; that order keeps every MSE bit-identical
+        to the scalar reference.
         ``include_fault_free`` adds the ``Pr(N = 0)`` point mass at MSE = 0
         (pass ``False`` for the paper's Eq. 5 conditional view).
         ``store`` behaves as in :meth:`run` (serve exact hash hits, record

@@ -12,7 +12,12 @@ kinds of promise that plain example-based tests cannot check:
   (vectorized vs scalar, one worker vs many, shard order A vs shard order
   B) produce *bit-identical* results from the same seed.
 
-This module packages both as small, seed-explicit helpers so a new
+Where the law is small enough to enumerate, an **exact** oracle replaces the
+approximate one: :func:`exact_mse_law` lists every outcome of the
+one-fault-per-word local MSE, so sampled values can be checked against its
+support bit for bit as well as by goodness of fit.
+
+This module packages these as small, seed-explicit helpers so a new
 stochastic source can be wired into the suite with a few lines.  All
 goodness-of-fit checks are run at a fixed, conservative level (0.999 by
 default: reject only when the p-value drops below 1e-3) over several
@@ -38,8 +43,10 @@ __all__ = [
     "assert_batched_matches_scalar",
     "assert_binomial_counts",
     "assert_chi_square_gof",
+    "assert_exact_mse_law",
     "assert_mass_conserved",
     "assert_results_identical",
+    "exact_mse_law",
     "gof_seeds",
     "pooled_chi_square",
 ]
@@ -154,6 +161,73 @@ def assert_binomial_counts(
     observed = np.bincount(counts.astype(np.int64), minlength=n_trials + 1)
     expected = stats.binom.pmf(support, n_trials, probability) * counts.size
     return assert_chi_square_gof(observed, expected, level=level, label=label)
+
+
+# Largest number of column tuples exact_mse_law will enumerate (32**3 fits).
+_MAX_ENUMERATION = 1 << 16
+
+
+def exact_mse_law(
+    energy_table: np.ndarray, fault_count: int, rows: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact distribution of the Eq. 6 local MSE of a one-fault-per-word die.
+
+    With ``fault_count`` faults in distinct rows at i.i.d. uniform columns
+    (the i.i.d. source with multi-fault words discarded), a die's MSE is the
+    sum of ``energy_table[c_i]`` over its ordered column tuple, divided by
+    ``rows``.  Every one of the ``W ** fault_count`` equally likely tuples is
+    enumerated and summed left to right -- the evaluator's summation order,
+    so each float matches a sampled die's bits, not just its real value.
+    Returns the sorted support and its probabilities.
+    """
+    table = np.asarray(energy_table, dtype=np.float64)
+    if fault_count < 1:
+        raise ValueError(f"fault_count must be at least 1, got {fault_count}")
+    if table.size ** fault_count > _MAX_ENUMERATION:
+        raise ValueError(
+            f"{table.size}**{fault_count} column tuples is too many to enumerate"
+        )
+    totals = table
+    for _ in range(fault_count - 1):
+        totals = (totals[:, None] + table[None, :]).ravel()
+    support, counts = np.unique(totals / rows, return_counts=True)
+    return support, counts / totals.size
+
+
+def assert_exact_mse_law(
+    samples: np.ndarray,
+    energy_table: np.ndarray,
+    fault_count: int,
+    rows: int,
+    *,
+    level: float = DEFAULT_GOF_LEVEL,
+    label: str = "MSE samples",
+) -> Optional[float]:
+    """Assert sampled MSEs follow :func:`exact_mse_law`; return the p-value.
+
+    Every sample must equal a support point bit for bit.  When the law has
+    more than one support point the histogram over the support is then
+    tested with the pooled chi-square (a one-point law is settled by the
+    support check alone, and ``None`` is returned).
+    """
+    support, probabilities = exact_mse_law(energy_table, fault_count, rows)
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.size == 0:
+        raise ValueError("cannot test an empty sample")
+    slots = np.minimum(np.searchsorted(support, samples), support.size - 1)
+    outside = np.flatnonzero(support[slots] != samples)
+    if outside.size:
+        raise AssertionError(
+            f"{label}: {outside.size} of {samples.size} samples lie outside "
+            f"the exact support of {support.size} values (first: "
+            f"{samples[outside[0]]!r})"
+        )
+    if support.size == 1:
+        return None
+    observed = np.bincount(slots, minlength=support.size)
+    return assert_chi_square_gof(
+        observed, probabilities * samples.size, level=level, label=label
+    )
 
 
 def assert_batched_matches_scalar(

@@ -79,6 +79,33 @@ class TestFaultMapQueries:
         coords = [(f.row, f.column) for f in fault_map]
         assert coords == [(1, 1), (1, 3), (5, 0)]
 
+    def test_row_grouping_keeps_first_appearance_order(self, small_org):
+        fault_map = FaultMap.from_cells(
+            small_org, [(9, 4), (2, 7), (9, 1), (4, 0), (2, 3), (9, 30)]
+        )
+        grouping = fault_map.row_grouping()
+        assert grouping.first_columns.dtype == np.int64
+        assert grouping.first_columns.tolist() == [4, 7, 0]
+        assert sorted(grouping.multi_fault_rows) == [
+            (0, 9, (1, 4, 30)),
+            (1, 2, (3, 7)),
+        ]
+        assert list(fault_map.faulty_columns_by_row()) == [9, 2, 4]
+        assert fault_map.row_grouping() is grouping
+
+    def test_row_grouping_of_empty_map(self, small_org):
+        grouping = FaultMap.empty(small_org).row_grouping()
+        assert grouping.first_columns.size == 0
+        assert grouping.multi_fault_rows == ()
+
+    def test_row_grouping_sees_cells_installed_by_from_cell_arrays(self, small_org):
+        fault_map = FaultMap.from_cell_arrays(
+            small_org, np.array([6, 3, 6]), np.array([2, 5, 9])
+        )
+        grouping = fault_map.row_grouping()
+        assert grouping.first_columns.tolist() == [2, 5]
+        assert grouping.multi_fault_rows == ((0, 6, (2, 9)),)
+
 
 class TestCorruption:
     def test_bit_flip(self, small_org):
