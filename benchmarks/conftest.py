@@ -33,9 +33,8 @@ def emit_json_summary(record_name: str, record: Mapping[str, object]) -> None:
     but never fragments of a line.  (Write-temp-then-rename cannot do this --
     a rename replaces the file, clobbering whatever other writers appended.)
 
-    Every record carries the active kernel backend, so perf artifacts from
-    jobs pinned to different ``REPRO_KERNEL_BACKEND`` values stay tellable
-    apart after they are merged.
+    Every record carries ``kernel_backend``, the name of the datapath kernel
+    implementation, like the records in ``BENCH_baseline.json``.
     """
     path = os.environ.get("REPRO_BENCH_JSON")
     if not path:

@@ -1150,12 +1150,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Like the store: status lines, the backend note goes to stderr so every
-    # stdout table stays byte-identical across backends -- backend choice
-    # changes throughput, never results.
-    from repro.kernels import active_backend
-
-    print(f"kernel backend: {active_backend().name}", file=sys.stderr)
     return args.func(args)
 
 

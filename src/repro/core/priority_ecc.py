@@ -103,8 +103,8 @@ class PriorityEccScheme(ProtectionScheme):
     def encode_words(self, rows: np.ndarray, data: np.ndarray) -> np.ndarray:
         """Vectorised encode: raw LSB half, batch SECDED codewords for the MSBs.
 
-        The codeword arithmetic runs on the active :mod:`repro.kernels`
-        backend through the code's batch methods.
+        The codeword arithmetic runs on the :mod:`repro.kernels` datapath
+        kernels through the code's batch methods.
         """
         _rows, data = self._check_batch(rows, data, self.word_width, "data")
         shift = np.uint64(self._unprotected_bits)

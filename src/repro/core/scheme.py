@@ -188,7 +188,7 @@ class BitShuffleScheme(ProtectionScheme):
     def encode_words(self, rows: np.ndarray, data: np.ndarray) -> np.ndarray:
         """Vectorised write path: gather per-row rotations, rotate, append entries.
 
-        Runs on the active kernel backend; the LUT tables are cached read-only
+        Runs on the datapath kernels; the LUT tables are cached read-only
         views, so no per-call table rebuild happens on the hot path.
         """
         rows, data = self._check_batch(rows, data, self.word_width, "data")

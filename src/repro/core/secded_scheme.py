@@ -53,7 +53,7 @@ class SecdedScheme(ProtectionScheme):
     def encode_words(self, rows: np.ndarray, data: np.ndarray) -> np.ndarray:
         """Vectorised encode: the parity-check matrix applied to whole arrays.
 
-        Runs on the active :mod:`repro.kernels` backend via the code's batch
+        Runs on the :mod:`repro.kernels` datapath kernels via the code's batch
         methods; the codeword layout is hoisted into the code's construction-
         time kernel spec, so no per-call setup remains.
         """

@@ -39,7 +39,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.kernels.api import SecdedKernelSpec
+from repro.kernels.numpy_backend import SecdedKernelSpec
 from repro.memory.words import bit_mask, popcount
 
 
@@ -122,7 +122,7 @@ class SecdedCode:
             dtype=np.uint64,
         )
         # Construction-time kernel descriptor: the batch methods hand this to
-        # whichever kernel backend is active, so no per-call setup remains.
+        # the datapath kernels, so no per-call setup remains.
         self._kernel_spec = SecdedKernelSpec(
             data_bits=self._k,
             parity_bits=self._r,

@@ -1,27 +1,70 @@
-"""Reference kernel backend: the original vectorised NumPy datapath.
+"""The NumPy kernels of the hot Monte-Carlo datapath.
 
-The implementations here are *extracted* from their historical homes
-(``repro.ecc.hamming``, ``repro.core.scheme``, ``repro.memory.faults``,
-``repro.memory.words``) rather than rewritten, so every seeded result, golden
-figure, and equivalence-harness case is bit-for-bit what it was before the
-kernel registry existed.  Compiled backends are validated against this one by
-the capability probe's self-test and by ``tests/test_kernels.py``.
+SECDED encode/syndrome/decode, the bit-shuffling FM-LUT rotation apply, the
+stuck-at corruption masks, the 2's-complement codecs and the rejection
+sampler's validity check.  Each is bit-exact with the scalar code path it
+vectorises (``repro.ecc.hamming``, ``repro.core.scheme``,
+``repro.memory.faults``, ``repro.memory.words``), so seeded results do not
+depend on which path ran.  Callers validate dtypes, shapes, row bounds and
+widths; kernels only raise :class:`ValueError` for what is data-dependent
+(out-of-range codes, 3+-error SECDED codewords).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.api import KernelBackend, SecdedKernelSpec
 from repro.memory.words import bit_mask, parity_array, rotate_left_array, rotate_right_array
 
-__all__ = ["NumpyKernelBackend"]
+__all__ = ["NumpyKernelBackend", "SecdedKernelSpec"]
 
 
-class NumpyKernelBackend(KernelBackend):
-    """Pure-NumPy reference implementation of every kernel."""
+@dataclass(frozen=True)
+class SecdedKernelSpec:
+    """Construction-time description of one SECDED code for the kernels.
+
+    Mirrors the layout of :class:`repro.ecc.hamming.SecdedCode`: bit 0 of the
+    codeword is the overall parity, parity bits sit at power-of-two positions
+    ``1, 2, 4, ...``, data bits fill the remaining positions in increasing
+    order.  All arrays are precomputed once per code (the codes themselves are
+    cached per data width), so no per-call setup survives in the hot loop.
+    """
+
+    data_bits: int
+    parity_bits: int  # Hamming parity bits r (the overall bit is extra)
+    codeword_bits: int
+    data_positions: np.ndarray = field(repr=False)  # int64[data_bits]
+    parity_positions: np.ndarray = field(repr=False)  # int64[parity_bits]
+    check_masks: np.ndarray = field(repr=False)  # uint64[parity_bits]
+
+    def __post_init__(self) -> None:
+        if self.codeword_bits > 64:
+            raise ValueError(
+                "kernel-backed SECDED supports codewords up to 64 bits, got "
+                f"{self.codeword_bits}"
+            )
+        object.__setattr__(
+            self,
+            "data_positions",
+            np.ascontiguousarray(self.data_positions, dtype=np.int64),
+        )
+        object.__setattr__(
+            self,
+            "parity_positions",
+            np.ascontiguousarray(self.parity_positions, dtype=np.int64),
+        )
+        object.__setattr__(
+            self,
+            "check_masks",
+            np.ascontiguousarray(self.check_masks, dtype=np.uint64),
+        )
+
+
+class NumpyKernelBackend:
+    """Every datapath kernel, vectorised over NumPy arrays."""
 
     name = "numpy"
 

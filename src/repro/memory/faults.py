@@ -451,9 +451,8 @@ class FaultMap:
         for _ in range(max_rounds):
             if pending.size == 0:
                 break
-            # Only the validity check is kernelised; the draws themselves
-            # stay in NumPy so the rng stream -- and with it every seeded
-            # result -- is identical across backends.
+            # Only the validity check is a kernel; the draws come straight
+            # from the caller's rng stream.
             draws = rng.integers(0, total, size=(pending.size, fault_count))
             bad = active_backend().invalid_map_mask(
                 np.ascontiguousarray(draws, dtype=np.int64),

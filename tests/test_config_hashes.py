@@ -22,6 +22,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.dse import (
+    BenchmarkGridSpec,
+    ExperimentSpec,
+    GeometrySpec,
+    McBudgetSpec,
+    OperatingGridSpec,
+    OptimizerSpec,
+    ParetoOptimizer,
+    SchemeGridSpec,
+)
 from repro.memory.faults import FaultMap
 from repro.quantize.fixedpoint import FixedPointFormat
 from repro.scenarios.base import ScenarioSpec
@@ -146,12 +156,33 @@ def golden():
 
 
 def test_golden_covers_every_case(golden):
-    assert set(golden) == set(_RUN_CASES) | {"no-benchmark"}
+    assert set(golden) == set(_RUN_CASES) | {"no-benchmark", "dse-rung"}
 
 
 @pytest.mark.parametrize("name", sorted(_RUN_CASES))
 def test_run_keys_match_pins(name, golden, tmp_path):
     assert _run_keys(name, tmp_path) == golden[name]
+
+
+# The smallest optimizer run that records a rung: one benchmark, one
+# operating point, one scheme, one rung.
+_RUNG_SPEC = ExperimentSpec(
+    geometry=GeometrySpec(rows=64),
+    operating_grid=OperatingGridSpec(vdd_values=(0.6,)),
+    scheme_grid=SchemeGridSpec(specs=("no-protection",)),
+    budget=McBudgetSpec(samples_per_count=2, n_count_points=2, coverage=0.9),
+    benchmarks=BenchmarkGridSpec(names=("knn",), scale=0.1, seed=17),
+    optimizer=OptimizerSpec(rungs=1, round_dies=2, initial_samples_per_count=2),
+)
+
+
+def test_dse_rung_keys_match_pins(golden, tmp_path):
+    with ResultStore(str(tmp_path / "store")) as store:
+        ParetoOptimizer(
+            _RUNG_SPEC, store=store, checkpoint_dir=str(tmp_path / "checkpoints")
+        ).run()
+        keys = sorted(summary["key"] for summary in store.query(kind="dse-rung"))
+    assert keys == golden["dse-rung"]
 
 
 def test_direct_hashes_match_run_keys(golden):
