@@ -1,4 +1,4 @@
-"""Design-space sweep: checkpoint-cache reuse and worker-count bit-identity.
+"""Design-space sweep: result-store reuse and worker-count bit-identity.
 
 Runs a 3-voltage x 3-scheme x 1-benchmark DSE grid (the ``repro dse run``
 smoke configuration) and gates the two properties the subsystem promises:
@@ -7,9 +7,9 @@ smoke configuration) and gates the two properties the subsystem promises:
   equal for ``workers=1`` and ``workers=REPRO_BENCH_WORKERS`` (default 2),
   the sweep engine's deterministic per-die seeding contract lifted to the
   full grid;
-* **checkpoint reuse** -- a second run pointed at the same checkpoint
-  directory replays every grid point from the per-point SweepEngine caches
-  and must complete at least 10x faster than the cold sweep.
+* **store reuse** -- a second run pointed at the same result store serves
+  every grid point from its per-point record and must complete at least 10x
+  faster than the cold sweep.
 
 Run with ``pytest -s`` to see the timing table.
 """
@@ -30,6 +30,7 @@ from repro.dse import (
     OperatingGridSpec,
     SchemeGridSpec,
 )
+from repro.store import ResultStore
 
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
 REPLAY_SPEEDUP_GATE = 10.0
@@ -92,23 +93,26 @@ def test_dse_grid_bit_identical_across_worker_counts(
     )
 
 
-def test_dse_checkpoint_cache_replays_fast(tmp_path, table_printer, json_summary):
-    directory = str(tmp_path / "grid-cache")
+def test_dse_store_replays_fast(tmp_path, table_printer, json_summary):
+    directory = str(tmp_path / "grid-store")
 
     start = time.perf_counter()
-    cold = DesignSpaceExplorer(SPEC, checkpoint_dir=directory).run()
+    with ResultStore(directory) as store:
+        cold = DesignSpaceExplorer(SPEC, store=store).run()
     cold_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    replay = DesignSpaceExplorer(SPEC, checkpoint_dir=directory).run()
+    with ResultStore(directory) as store:
+        replay = DesignSpaceExplorer(SPEC, store=store).run()
     replay_seconds = time.perf_counter() - start
 
     assert replay.rows == cold.rows
-    assert len(os.listdir(directory)) == len(SPEC.operating_points())
+    with ResultStore(directory) as store:
+        assert len(store.query(kind="quality")) == len(SPEC.operating_points())
 
     speedup = cold_seconds / replay_seconds
     table_printer(
-        "DSE checkpoint reuse (per-grid-point SweepEngine caches)",
+        "DSE store reuse (one result record per grid point)",
         ["run", "wall clock [s]", "speedup"],
         [
             ["cold sweep", cold_seconds, 1.0],
@@ -116,7 +120,7 @@ def test_dse_checkpoint_cache_replays_fast(tmp_path, table_printer, json_summary
         ],
     )
     json_summary(
-        "dse_checkpoint_replay",
+        "dse_store_replay",
         {
             "cold_seconds": cold_seconds,
             "replay_seconds": replay_seconds,
@@ -124,6 +128,6 @@ def test_dse_checkpoint_cache_replays_fast(tmp_path, table_printer, json_summary
         },
     )
     assert speedup >= REPLAY_SPEEDUP_GATE, (
-        f"expected >= {REPLAY_SPEEDUP_GATE}x checkpoint replay speedup, "
+        f"expected >= {REPLAY_SPEEDUP_GATE}x store replay speedup, "
         f"measured {speedup:.1f}x"
     )

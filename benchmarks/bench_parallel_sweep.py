@@ -34,6 +34,7 @@ from repro.sim.engine import ExperimentConfig, SweepEngine
 from repro.sim.executor import ExecutorSpec
 from repro.sim.experiment import standard_benchmarks
 from repro.sim.worker import spawn_local_workers
+from repro.store import ResultStore
 
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
 SPEEDUP_GATE = 2.0
@@ -211,27 +212,28 @@ def test_executor_scaling(table_printer, json_summary, knn):
         )
 
 
-def test_checkpoint_replay_is_instant(tmp_path, knn, table_printer, json_summary):
-    """A completed checkpoint replays the whole sweep without re-evaluation."""
+def test_store_replay_is_instant(tmp_path, knn, table_printer, json_summary):
+    """A finished sweep replays from the result store without re-evaluation."""
     engine = SweepEngine(CONFIG)
-    path = str(tmp_path / "sweep.json")
 
-    start = time.perf_counter()
-    first = engine.run(knn, checkpoint=path)
-    cold_seconds = time.perf_counter() - start
+    with ResultStore(str(tmp_path / "store")) as store:
+        start = time.perf_counter()
+        first = engine.run(knn, store=store)
+        cold_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    replay = engine.run(knn, checkpoint=path)
-    replay_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        replay = engine.run(knn, store=store)
+        replay_seconds = time.perf_counter() - start
 
     assert _snapshot(replay) == _snapshot(first)
+    assert engine.last_run_stats.evaluated_dies == 0
     table_printer(
-        "Checkpoint replay",
+        "Store replay",
         ["run", "wall clock [s]"],
         [["cold", cold_seconds], ["replay", replay_seconds]],
     )
     json_summary(
-        "checkpoint_replay",
+        "store_replay",
         {"cold_seconds": cold_seconds, "replay_seconds": replay_seconds},
     )
     # The replay does no die evaluation; it must be far faster than the sweep.

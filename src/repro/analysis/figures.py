@@ -8,7 +8,7 @@ directly.
 The Monte-Carlo figures are thin views over the design-space exploration
 layer: ``figure5_mse_cdf`` and ``figure7_quality`` each evaluate one grid
 point through :mod:`repro.dse.evaluate` (sharing the sweep engine's
-parallelism, seeding, and checkpointing), and ``figure6_overhead`` is the
+parallelism, seeding, and the result store), and ``figure6_overhead`` is the
 overhead join input.  The general grid lives behind ``repro-faulty-mem dse``.
 """
 
@@ -105,7 +105,6 @@ def figure5_mse_cdf(
     workers: int = 1,
     sampling: str = "legacy",
     master_seed: Optional[int] = None,
-    checkpoint: Optional[str] = None,
     scenario: Optional[ScenarioSpec] = None,
     adaptive: Optional[AdaptiveBudget] = None,
     report_out: Optional[List[AdaptiveBudgetReport]] = None,
@@ -126,8 +125,7 @@ def figure5_mse_cdf(
     bit-identical for any count.  ``sampling="legacy"`` (default) draws the
     die population serially from ``rng``, reproducing the historical pinned
     curves; ``"seeded"`` derives one seed-sequence child per die from
-    ``master_seed`` so sampling parallelises too.  ``checkpoint`` names an
-    optional JSON results cache for resumable sweeps.  ``scenario``
+    ``master_seed`` so sampling parallelises too.  ``scenario``
     optionally names a fault-scenario pipeline (aged / clustered / repaired
     dies) the population is drawn through; ``None`` is the default i.i.d.
     population, and scenarios with a transient tier are rejected by the
@@ -138,8 +136,9 @@ def figure5_mse_cdf(
     the outcome report appended to ``report_out`` when given.  ``store``
     makes the figure a store-backed view: an exact configuration-hash hit
     is served from the :class:`~repro.store.ResultStore` bit-identically
-    with zero new die evaluations, and a computed sweep is recorded into
-    it; ``stats_out`` collects the run's
+    with zero new die evaluations, an interrupted sweep resumes from its
+    progress record, and a computed sweep is recorded into it;
+    ``stats_out`` collects the run's
     :class:`~repro.sim.engine.SweepRunStats` (which path ran, die counts).
     ``executor`` selects the shard executor tier (``None``/``"local"``,
     ``"inline"``, or an :class:`~repro.sim.executor.ExecutorSpec` for
@@ -179,7 +178,6 @@ def figure5_mse_cdf(
         sampling=sampling,
         rng=rng,
         workers=workers,
-        checkpoint=checkpoint,
         report_out=report_out,
         store=store,
         stats_out=stats_out,
@@ -221,7 +219,6 @@ def figure7_quality(
     rng: Optional[np.random.Generator] = None,
     workers: int = 1,
     master_seed: Optional[int] = None,
-    checkpoint: Optional[str] = None,
     scenario: Optional[ScenarioSpec] = None,
     adaptive: Optional[AdaptiveBudget] = None,
     report_out: Optional[List[AdaptiveBudgetReport]] = None,
@@ -242,14 +239,14 @@ def figure7_quality(
     bit-identical for any worker count.  When ``master_seed`` is given the
     sweep runs on the :class:`~repro.sim.engine.SweepEngine` seeded sampling
     path (one seed-sequence child per die) instead of the legacy shared
-    generator ``rng``; ``checkpoint`` names an optional JSON results cache for
-    resumable sweeps.  Either way the figure is one quality grid point of the
+    generator ``rng``.  Either way the figure is one quality grid point of the
     design space (:func:`repro.dse.evaluate.evaluate_quality_point`).
     ``adaptive`` switches the sweep to the engine's confidence-driven budget
     (requires ``master_seed``; ``samples_per_count`` then caps the spend
     instead of fixing it), with the outcome report appended to
     ``report_out`` when given.  ``store`` / ``stats_out`` behave as in
-    :func:`figure5_mse_cdf` (store-backed view with bit-identical hits).
+    :func:`figure5_mse_cdf` (store-backed view with bit-identical hits and
+    resumable progress).
     ``access_trace`` sets the read passes replayed per load for scenarios
     with a transient tier (which require ``master_seed`` -- the per-read
     corruption replays from each die's seed-sequence child).  ``executor``
@@ -285,7 +282,6 @@ def figure7_quality(
             benchmark,
             schemes=list(schemes),
             workers=workers,
-            checkpoint=checkpoint,
             report_out=report_out,
             store=store,
             stats_out=stats_out,
@@ -299,7 +295,6 @@ def figure7_quality(
         sampling="legacy",
         rng=rng,
         workers=workers,
-        checkpoint=checkpoint,
         report_out=report_out,
         store=store,
         stats_out=stats_out,

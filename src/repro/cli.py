@@ -20,9 +20,8 @@ Every command prints a plain-text table to stdout; the benchmark harness under
 commands (``fig5``, ``fig7``) and ``dse run`` share one option set:
 ``--workers`` (process fan-out, bit-identical results for any count),
 ``--sampling legacy|seeded`` (shared-generator replay versus per-die seed
-children), ``--checkpoint`` (resumable JSON results cache),
-``--scenario`` (fault-scenario pipeline: ``iid-pcell`` default, ``aged``,
-``clustered``, ``repaired``, ``transient``, with ``name,key=value``
+children), ``--scenario`` (fault-scenario pipeline: ``iid-pcell`` default,
+``aged``, ``clustered``, ``repaired``, ``transient``, with ``name,key=value``
 parameters), ``--access-trace`` (read passes replayed per load for
 transient-tier scenarios), and
 ``--adaptive`` / ``--target-ci`` / ``--max-samples`` (confidence-driven
@@ -32,9 +31,10 @@ Adaptive runs append one ``adaptive budget:`` summary line after the table;
 fixed-budget output is byte-identical to earlier releases.
 
 The sweep commands also share ``--store`` (persistent result store: warm
-re-runs are served from disk bit-identically with zero new die evaluations;
-``store:`` status lines go to stderr so stdout never changes), and the
-``store`` command group inspects and maintains such a store.
+re-runs are served from disk bit-identically with zero new die evaluations,
+and an interrupted sweep resumes from its recorded progress; ``store:`` status
+lines go to stderr so stdout never changes), and the ``store`` command group
+inspects and maintains such a store.
 
 ``--executor tcp --connect HOST:PORT`` turns any sweep command into a
 distributed coordinator: it binds the address and serves shards to workers
@@ -72,6 +72,7 @@ from repro.dse import (
 )
 from repro.sim.engine import AdaptiveBudget, AdaptiveBudgetReport
 from repro.sim.experiment import standard_benchmarks
+from repro.store.schema import RECORD_KINDS
 
 __all__ = ["main", "build_parser"]
 
@@ -142,12 +143,11 @@ def _add_sweep_options(
     parser: argparse.ArgumentParser,
     *,
     include_sampling: bool = True,
-    checkpoint_help: Optional[str] = None,
 ) -> None:
     """The option set shared by every Monte-Carlo sweep command.
 
     ``fig5``, ``fig7``, and ``dse run`` all expose the same ``--workers`` /
-    ``--sampling`` / ``--checkpoint`` surface (``dse`` omits ``--sampling``:
+    ``--sampling`` / ``--store`` surface (``dse`` omits ``--sampling``:
     the design-space grid always uses the engine's seeded per-die sampling,
     whose master seed lives in the spec file).
     """
@@ -169,13 +169,6 @@ def _add_sweep_options(
             "native mode).  Default: legacy, or seeded when --adaptive is "
             "given (adaptive budgets cannot pre-draw the population)",
         )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        help=checkpoint_help
-        or "JSON results cache updated after every completed shard; "
-        "re-running with the same configuration resumes from it",
-    )
     parser.add_argument(
         "--scenario",
         type=_parse_scenario,
@@ -229,9 +222,11 @@ def _add_sweep_options(
         metavar="DIR",
         help="persistent result store directory (created if missing): "
         "sweeps whose full configuration hash is already stored are served "
-        "from it bit-identically with zero new die evaluations, and "
-        "computed sweeps are recorded into it; status lines go to stderr, "
-        "so stdout stays byte-identical with and without a warm store",
+        "from it bit-identically with zero new die evaluations, progress is "
+        "recorded after every shard or adaptive round so an interrupted "
+        "sweep resumes where it stopped, and computed sweeps are recorded "
+        "into it; status lines go to stderr, so stdout stays byte-identical "
+        "with and without a warm store",
     )
     parser.add_argument(
         "--executor",
@@ -277,7 +272,15 @@ def _print_store_events(store) -> None:
     """
     for event in store.session_events:
         key = event["key"][:16]
-        if event["type"] == "put":
+        if event["kind"] == "progress":
+            # Progress puts land after every shard or round; only a resume
+            # is worth a line.
+            if event["type"] == "hit":
+                print(
+                    f"store: resuming {key} from recorded progress",
+                    file=sys.stderr,
+                )
+        elif event["type"] == "put":
             evaluated = event["meta"].get("evaluated_dies", "?")
             print(
                 f"store: recorded {key} ({evaluated} dies evaluated)",
@@ -448,7 +451,6 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
             workers=args.workers,
             sampling=sampling,
             master_seed=args.seed if sampling == "seeded" else None,
-            checkpoint=args.checkpoint,
             scenario=args.scenario,
             adaptive=adaptive,
             report_out=reports,
@@ -528,7 +530,6 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
             rng=np.random.default_rng(args.seed),
             workers=args.workers,
             master_seed=args.seed if sampling == "seeded" else None,
-            checkpoint=args.checkpoint,
             scenario=args.scenario,
             adaptive=adaptive,
             report_out=reports,
@@ -689,7 +690,6 @@ def _dse_result(args: argparse.Namespace) -> DseResult:
         explorer = DesignSpaceExplorer(
             spec,
             workers=args.workers,
-            checkpoint_dir=args.checkpoint,
             store=store,
             executor=_resolve_executor(args),
         )
@@ -779,7 +779,6 @@ def _cmd_dse_optimize(args: argparse.Namespace) -> int:
             spec,
             optimizer=optimizer,
             workers=args.workers,
-            checkpoint_dir=args.checkpoint,
             store=store,
             executor=_resolve_executor(args),
         ).run()
@@ -934,10 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-layer design-space exploration (energy/quality/overhead)",
     )
     dse_sub = pd.add_subparsers(dest="dse_command", required=True)
-    dse_checkpoint_help = (
-        "directory of per-grid-point JSON result caches; re-running any "
-        "spec that shares grid points replays them instantly"
-    )
 
     def _add_dse_options(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(
@@ -951,11 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="result table previously written by 'dse run --output' "
             "(skips re-running the sweep)",
         )
-        _add_sweep_options(
-            parser,
-            include_sampling=False,
-            checkpoint_help=dse_checkpoint_help,
-        )
+        _add_sweep_options(parser, include_sampling=False)
 
     pd_run = dse_sub.add_parser(
         "run", help="sweep the grid and print the joined result table"
@@ -1042,20 +1033,13 @@ def build_parser() -> argparse.ArgumentParser:
         "count)",
     )
     pd_opt.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="DIR",
-        help="directory of per-cell engine round-state checkpoints "
-        "(default: a run-private temporary directory; a --store covers "
-        "resumption across runs)",
-    )
-    pd_opt.add_argument(
         "--store",
         default=None,
         metavar="DIR",
         help="persistent result store: finished rungs are recorded as "
         "dse-rung records and replayed on re-runs with zero die "
-        "evaluations; warm rows also seed the rung-0 surrogate ordering",
+        "evaluations, so an interrupted run resumes at its last finished "
+        "rung; warm rows also seed the rung-0 surrogate ordering",
     )
     pd_opt.add_argument(
         "--executor",
@@ -1104,7 +1088,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_root(ps_query)
     ps_query.add_argument(
         "--kind",
-        choices=["quality", "mse", "dse-rung"],
+        choices=RECORD_KINDS,
         default=None,
         help="only records of this evaluation kind",
     )

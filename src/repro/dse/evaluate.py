@@ -8,7 +8,7 @@ one shared surface, so ``figure5_mse_cdf`` / ``figure7_quality`` /
 ``figure6_overhead``, ``YieldAnalyzer.compare_schemes``, and the
 :class:`~repro.dse.explore.DesignSpaceExplorer` all run through the same
 :class:`~repro.sim.engine.SweepEngine` machinery (sharded parallelism,
-deterministic per-die seeding, checkpoint/resume).
+deterministic per-die seeding, store-backed resume).
 
 Two sampling modes are supported everywhere:
 
@@ -161,14 +161,12 @@ def evaluate_quality_point(
     sampling: str = "seeded",
     rng: Optional[np.random.Generator] = None,
     workers: int = 1,
-    checkpoint: Optional[str] = None,
     fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]] = None,
     fixed_point: Optional[FixedPointFormat] = None,
     report_out: Optional[List["AdaptiveBudgetReport"]] = None,
     store: Optional["ResultStore"] = None,
     stats_out: Optional[List[SweepRunStats]] = None,
     executor: Optional[object] = None,
-    adaptive_cap_resumable: bool = False,
 ) -> Dict[str, QualityDistribution]:
     """Application-quality distributions of one grid point (a Fig. 7 slice).
 
@@ -176,26 +174,22 @@ def evaluate_quality_point(
     ``fault_maps`` supplies an explicit pre-drawn die population (overriding
     ``sampling``); ``report_out`` collects the
     :class:`~repro.sim.engine.AdaptiveBudgetReport` of an adaptive-budget
-    config; ``store`` serves exact configuration-hash hits and records
-    computed sweeps; ``stats_out`` collects the run's
+    config; ``store`` serves exact configuration-hash hits, resumes
+    interrupted sweeps from their progress records and records computed
+    sweeps; ``stats_out`` collects the run's
     :class:`~repro.sim.engine.SweepRunStats`; ``executor`` selects the shard
     executor tier (``None``/``"local"``, ``"inline"``, or an
-    :class:`~repro.sim.executor.ExecutorSpec`); ``adaptive_cap_resumable``
-    keys the checkpoint by the cap-free adaptive hash so a finished probe at
-    one die cap seeds a later probe at a larger cap (the budgeted
-    optimizer's successive-halving pattern -- requires an adaptive budget);
-    everything else is delegated to :meth:`SweepEngine.run`.
+    :class:`~repro.sim.executor.ExecutorSpec`); everything else is delegated
+    to :meth:`SweepEngine.run`.
     """
     engine = SweepEngine(config, schemes=schemes)
     results = engine.run(
         benchmark,
         workers=workers,
-        checkpoint=checkpoint,
         fault_maps=_resolve_fault_maps(config, sampling, rng, fault_maps),
         fixed_point=fixed_point,
         store=store,
         executor=executor,
-        adaptive_cap_resumable=adaptive_cap_resumable,
     )
     _record_adaptive_report(engine, report_out)
     _record_run_stats(engine, stats_out)
@@ -209,7 +203,6 @@ def evaluate_mse_point(
     sampling: str = "seeded",
     rng: Optional[np.random.Generator] = None,
     workers: int = 1,
-    checkpoint: Optional[str] = None,
     fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]] = None,
     fault_maps_by_count: Optional[Mapping[int, List[FaultMap]]] = None,
     include_fault_free: bool = True,
@@ -240,7 +233,6 @@ def evaluate_mse_point(
     engine = SweepEngine(config, schemes=schemes)
     results = engine.run_mse(
         workers=workers,
-        checkpoint=checkpoint,
         fault_maps=_resolve_fault_maps(config, sampling, rng, fault_maps),
         include_fault_free=include_fault_free,
         store=store,

@@ -5,8 +5,8 @@ This is the paper's closing argument made executable.  A declarative
 (supply voltages mapped to ``Pcell`` through the fault model), protection
 schemes, and benchmarks; the :class:`DesignSpaceExplorer` evaluates every
 grid point through the :class:`~repro.sim.engine.SweepEngine` (inheriting
-its sharded parallelism, deterministic per-die seeding, and checkpoint
-cache), joins the quality distributions with the voltage-scaling energy
+its sharded parallelism, deterministic per-die seeding, and store-backed
+resume), joins the quality distributions with the voltage-scaling energy
 model and the hardware overhead model, and produces one tidy result table.
 :func:`pareto_frontier` then answers the question none of the single-figure
 views can: *which (VDD, scheme, nFM) points are Pareto-optimal in energy
@@ -16,7 +16,6 @@ versus quality-at-yield?*
 from __future__ import annotations
 
 import json
-import os
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.base import ProtectionScheme
@@ -320,18 +319,14 @@ class DesignSpaceExplorer:
     workers:
         Process fan-out of each grid point's Monte-Carlo sweep (results are
         bit-identical for any count -- the engine's seeding contract).
-    checkpoint_dir:
-        Optional directory of per-grid-point JSON result caches.  Each
-        (operating point, benchmark) cell checkpoints independently under a
-        name derived from its configuration hash, so re-running any spec that
-        shares grid points replays them instantly.
     store:
         Optional :class:`~repro.store.ResultStore`.  Grid points whose
         configuration hash is already stored are served from it --
         bit-identical, with zero new die evaluations -- and computed points
         are recorded into it, making the explorer a store-backed view: a
         re-run against a warm store recomputes only the points a spec or
-        code change dirtied (see :meth:`dirty_points`).
+        code change dirtied (see :meth:`dirty_points`), and an interrupted
+        point resumes from its progress record.
     executor:
         Optional shard-executor selection forwarded to every grid point's
         sweep: ``None``/``"local"`` (process pool), ``"inline"``, or an
@@ -343,7 +338,6 @@ class DesignSpaceExplorer:
         self,
         spec: ExperimentSpec,
         workers: int = 1,
-        checkpoint_dir: Optional[str] = None,
         store: Optional["ResultStore"] = None,
         executor: Optional[object] = None,
     ) -> None:
@@ -351,7 +345,6 @@ class DesignSpaceExplorer:
             raise ValueError("workers must be at least 1")
         self._spec = spec
         self._workers = workers
-        self._checkpoint_dir = checkpoint_dir
         self._store = store
         self._executor = executor
         self._adaptive_reports: Dict[
@@ -429,17 +422,6 @@ class DesignSpaceExplorer:
             for spec in self._spec.scheme_grid.specs
         ]
 
-    def _checkpoint_path(
-        self, engine: SweepEngine, benchmark, benchmark_name: str
-    ) -> Optional[str]:
-        if self._checkpoint_dir is None:
-            return None
-        os.makedirs(self._checkpoint_dir, exist_ok=True)
-        point_hash = engine.config_hash(benchmark)[:16]
-        return os.path.join(
-            self._checkpoint_dir, f"dse-{benchmark_name}-{point_hash}.json"
-        )
-
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
@@ -472,13 +454,9 @@ class DesignSpaceExplorer:
             for point in points:
                 config = spec.experiment_config(point, benchmark_name)
                 engine = SweepEngine(config)
-                checkpoint = self._checkpoint_path(
-                    engine, benchmark, benchmark_name
-                )
                 results = engine.run(
                     benchmark,
                     workers=self._workers,
-                    checkpoint=checkpoint,
                     store=self._store,
                     executor=self._executor,
                 )

@@ -20,8 +20,8 @@ Pareto frontier for a fraction of that die bill by racing the cells through
 * cells whose unpruned rows all reached the probe's ``target_ci`` stop
   (resolved); cells whose rows are all pruned stop (retired); the rest carry
   their engine round state into the next rung, whose die cap grows by
-  ``eta`` (the engine's cap-resumable checkpoints make the larger-cap run a
-  pure continuation -- no die is ever simulated twice).
+  ``eta`` (the engine's cap-resumable progress records make the larger-cap
+  run a pure continuation -- no die is ever simulated twice).
 
 A cheap deterministic surrogate (:mod:`repro.dse.surrogate`) fitted on warm
 store rows orders the rung-0 probes so predicted-frontier cells are measured
@@ -36,19 +36,22 @@ then operating point, then scheme), and each pruning pass tests rows against
 a snapshot of the pass's surviving set -- dominance is transitive, so the
 outcome is independent of the order rows are examined in.
 
-With a :class:`~repro.store.ResultStore`, every finished rung is recorded as
-a ``dse-rung`` record -- the partial per-scheme distributions *plus* the
-engine's round-state checkpoint -- keyed by the cap-free configuration hash,
-the rung index, and the cap.  A killed run replays finished rungs from the
-store with zero die evaluations, restores the round state they ended at, and
-continues mid-schedule bit-identically even if the checkpoint directory was
-lost.
+Round state lives in a separate *progress* store (``checkpoint_dir``, by
+default a run-private temporary directory): each probe records its
+cap-resumable ``progress`` record there under the cell's cap-free
+configuration hash, and the next rung resumes from it.  With a user
+:class:`~repro.store.ResultStore`, every finished rung is also recorded as a
+``dse-rung`` record -- the partial per-scheme distributions *plus* that
+round-state payload -- keyed by the cap-free configuration hash, the rung
+index, and the cap.  A killed run replays finished rungs from the store with
+zero die evaluations, restores the round state they ended at, and continues
+mid-schedule bit-identically even if the progress store was lost.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import os
 import tempfile
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
@@ -72,17 +75,16 @@ from repro.sim.engine import (
     ExperimentConfig,
     QualityDistribution,
     SweepEngine,
-    _write_checkpoint_payload,
 )
 from repro.store.schema import (
     adaptive_report_from_payload,
     quality_results_from_payload,
     quality_results_to_payload,
 )
+from repro.store.store import ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.hardware.energy import OperatingPoint
-    from repro.store.store import ResultStore
 
 __all__ = [
     "OptimizeResult",
@@ -182,7 +184,6 @@ class _CellState:
     scheme_names: List[str]
     caps: List[int]
     resumable_hash: str
-    checkpoint: str
     rows: Dict[str, _RowState]
     status: str = "active"
     last_rung: int = -1
@@ -192,6 +193,11 @@ class _CellState:
     store_hits: int = 0
     results: Optional[Dict[str, QualityDistribution]] = None
     report: Optional[AdaptiveBudgetReport] = None
+    # Key of the last rung replayed from the store.  Its round state is
+    # read again and put into the progress store only if the cell's next
+    # rung is actually computed (holding every cell's parsed state through a
+    # warm pass costs megabytes).
+    replayed_rung: Optional[str] = None
 
     @property
     def key(self) -> Tuple[str, float, float]:
@@ -362,6 +368,24 @@ class OptimizeResult:
         )
 
 
+class _ProgressStore(contextlib.ExitStack):
+    """The optimizer's progress :class:`~repro.store.ResultStore`, opened on
+    first use (in ``root``, or a temporary directory removed on exit)."""
+
+    def __init__(self, root: Optional[str]) -> None:
+        super().__init__()
+        self._root = root
+        self._store: Optional[ResultStore] = None
+
+    def open(self) -> ResultStore:
+        if self._store is None:
+            root = self._root or self.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-optimize-")
+            )
+            self._store = self.enter_context(ResultStore(root))
+        return self._store
+
+
 class ParetoOptimizer:
     """Successive-halving frontier recovery over an :class:`ExperimentSpec`.
 
@@ -376,9 +400,12 @@ class ParetoOptimizer:
         (bit-identical results for every combination -- the engine's
         determinism contract, which the optimizer inherits wholesale).
     checkpoint_dir:
-        Directory of per-cell engine round-state checkpoints.  ``None`` uses
-        a run-private temporary directory: rungs still resume *within* the
-        run, and a store (below) covers resumption across runs.
+        Directory of the :class:`~repro.store.ResultStore` holding each
+        cell's engine round state as a ``progress`` record.  ``None`` uses a
+        run-private temporary directory: rungs still resume *within* the
+        run, and a store (below) covers resumption across runs.  It is
+        opened on the first computed rung, so a fully warm run writes
+        nothing.
     store:
         Optional :class:`~repro.store.ResultStore`.  Finished rungs are
         recorded as ``dse-rung`` records and replayed on re-runs with zero
@@ -436,9 +463,7 @@ class ParetoOptimizer:
     # ------------------------------------------------------------------ #
     # Cell construction
     # ------------------------------------------------------------------ #
-    def _build_cells(
-        self, checkpoint_dir: str
-    ) -> Tuple[List[_CellState], Dict[str, object]]:
+    def _build_cells(self) -> Tuple[List[_CellState], Dict[str, object]]:
         """Canonical cell list (benchmark-major, then operating point)."""
         spec = self._spec
         opt = self._optimizer
@@ -487,11 +512,6 @@ class ParetoOptimizer:
                         scheme_names=[s.name for s in engine.schemes],
                         caps=caps,
                         resumable_hash=resumable_hash,
-                        checkpoint=os.path.join(
-                            checkpoint_dir,
-                            f"optimize-{benchmark_name}-"
-                            f"{resumable_hash[:16]}.json",
-                        ),
                         rows=rows,
                         exhaustive_dies=len(counts)
                         * spec.budget.samples_per_count,
@@ -560,13 +580,14 @@ class ParetoOptimizer:
         rung: int,
         cap: int,
         benchmark_def,
+        progress: _ProgressStore,
     ) -> None:
         """Advance one cell to ``cap`` cumulative dies (resume or replay).
 
-        Store replay restores the engine's round-state checkpoint recorded
-        with the rung, so the *next* rung continues from exactly the state
-        the original run left -- the sequential rung schedule is the one
-        canonical path, whether rungs were computed or replayed.
+        Store replay keeps the engine round state recorded with the rung, so
+        the *next* rung continues from exactly the state the original run
+        left -- the sequential rung schedule is the one canonical path,
+        whether rungs were computed or replayed.
         """
         opt = self._optimizer
         rung_key = f"{cell.resumable_hash}-rung{rung}-cap{cap}"
@@ -584,12 +605,20 @@ class ParetoOptimizer:
                     f"dse-rung record {rung_key!r} carries no adaptive "
                     f"report; the store is corrupt"
                 )
-            if payload.get("checkpoint") is not None:
-                _write_checkpoint_payload(
-                    cell.checkpoint, payload["checkpoint"]
-                )
+            cell.replayed_rung = rung_key
             cell.store_hits += 1
         else:
+            progress_store = progress.open()
+            if cell.replayed_rung is not None:
+                replayed = self._store.get_record(
+                    cell.replayed_rung, kind="dse-rung"
+                )
+                progress_store.put_record(
+                    cell.resumable_hash,
+                    "progress",
+                    replayed["payload"]["checkpoint"],
+                )
+                cell.replayed_rung = None
             probe = replace(
                 cell.config, adaptive=opt.adaptive_budget(cap)
             )
@@ -597,7 +626,7 @@ class ParetoOptimizer:
             results = engine.run(
                 benchmark_def,
                 workers=self._workers,
-                checkpoint=cell.checkpoint,
+                store=progress_store,
                 executor=self._executor,
                 adaptive_cap_resumable=True,
             )
@@ -608,8 +637,9 @@ class ParetoOptimizer:
                 stats.evaluated_dies if stats is not None else 0
             )
             if self._store is not None:
-                with open(cell.checkpoint, "r", encoding="utf-8") as handle:
-                    checkpoint_payload = json.load(handle)
+                state = progress_store.get_record(
+                    cell.resumable_hash, kind="progress"
+                )
                 self._store.put_record(
                     rung_key,
                     "dse-rung",
@@ -617,7 +647,7 @@ class ParetoOptimizer:
                         "results": quality_results_to_payload(
                             results, report
                         ),
-                        "checkpoint": checkpoint_payload,
+                        "checkpoint": state["payload"],
                     },
                     meta={
                         "benchmark": cell.benchmark_name,
@@ -739,12 +769,10 @@ class ParetoOptimizer:
     def run(self) -> OptimizeResult:
         """Race the grid through the rung schedule; return the audit table."""
         opt = self._optimizer
-        with tempfile.TemporaryDirectory(prefix="repro-optimize-") as scratch:
-            checkpoint_dir = self._checkpoint_dir or scratch
-            os.makedirs(checkpoint_dir, exist_ok=True)
-            cells, join = self._build_cells(checkpoint_dir)
-            order = self._rung0_order(cells)
-            prune_log: List[PruneEvent] = []
+        cells, join = self._build_cells()
+        order = self._rung0_order(cells)
+        prune_log: List[PruneEvent] = []
+        with _ProgressStore(self._checkpoint_dir) as progress:
             for rung in range(opt.rungs):
                 probe_cells = (
                     [cells[index] for index in order] if rung == 0 else cells
@@ -757,6 +785,7 @@ class ParetoOptimizer:
                         rung,
                         cell.caps[rung],
                         join["benchmark_defs"][cell.benchmark_name],
+                        progress,
                     )
                 prune_log.extend(self._prune_pass(cells, rung))
                 self._update_status(cells, rung)

@@ -435,7 +435,7 @@ class ExperimentSpec:
             # layer existed.
             scenario=self.scenario,
             # None in fixed mode, so fixed-budget grid points keep their
-            # historical checkpoint hashes; an adaptive budget keys them.
+            # historical configuration hashes; an adaptive budget keys them.
             adaptive=self.budget.adaptive_budget(),
             access_trace=self.access_trace,
         )

@@ -22,7 +22,7 @@ decides *which* fault population every die of a sweep sees.
 
 The default ``iid-pcell`` scenario reproduces the historical sampling stream
 bit-for-bit; every other scenario flows through the same per-die seeding,
-process fan-out, and checkpoint keying of the sweep engine.
+process fan-out, and configuration-hash keying of the sweep engine.
 """
 
 from repro.scenarios.base import (

@@ -91,7 +91,7 @@ class FaultSource(abc.ABC):
 
     @abc.abstractmethod
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable description (feeds checkpoint hashes)."""
+        """JSON-serialisable description (feeds configuration hashes)."""
 
 
 class FaultTransform(abc.ABC):
@@ -117,7 +117,7 @@ class FaultTransform(abc.ABC):
 
     @abc.abstractmethod
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable description (feeds checkpoint hashes)."""
+        """JSON-serialisable description (feeds configuration hashes)."""
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ class FaultScenario:
 
         The ``transient`` key appears only when the tier is present, so
         every static scenario's description -- and with it every existing
-        checkpoint and store hash -- stays byte-identical.
+        configuration hash -- stays byte-identical.
         """
         description: Dict[str, object] = {
             "name": self.name,
@@ -284,7 +284,7 @@ class RepairStageLike(abc.ABC):
 
     @abc.abstractmethod
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable description (feeds checkpoint hashes)."""
+        """JSON-serialisable description (feeds configuration hashes)."""
 
 
 # --------------------------------------------------------------------------- #

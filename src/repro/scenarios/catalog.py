@@ -62,7 +62,7 @@ def _int_param(name: str, value: object) -> int:
     """Strict integer coercion: a fractional value is a config error.
 
     Silently truncating ``cluster_size=2.9`` to 2 would run a different
-    scenario than the one the checkpoint hash (which records the raw
+    scenario than the one the configuration hash (which records the raw
     parameter) describes -- so it must fail loudly instead.
     """
     if isinstance(value, bool) or (
@@ -93,7 +93,7 @@ def _build_aged(
 ) -> FaultScenario:
     # Note: AgingModel's per-cell `variability` is deliberately not exposed;
     # the aged scenario acts only through the mean drift, so the parameter
-    # could not change any result and would only fragment checkpoint caches.
+    # could not change any result and would only fragment store keys.
     aging_model = AgingModel(
         drift_at_reference_v=float(drift_at_reference_v),
         reference_years=float(reference_years),

@@ -155,7 +155,7 @@ class AgedPcellSource(IidPcellSource):
                 "temperature_c": self._temperature_c,
                 # `variability` is omitted: the source acts only through the
                 # mean drift, so the per-cell spread cannot affect results
-                # and must not key the checkpoint cache.
+                # and must not key the configuration hash.
                 "aging_model": {
                     "drift_at_reference_v": aging.drift_at_reference_v,
                     "reference_years": aging.reference_years,

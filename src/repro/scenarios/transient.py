@@ -13,7 +13,7 @@ next to the static stages.  The sweep engine hands each die one extra seed
 drawn from the die's own seed-sequence child, and
 :class:`~repro.sim.faulty_storage.FaultyTensorStore` replays the tier from
 that seed on every load -- so transient sampling inherits the engine's
-worker-count/shard-order bit-identity guarantee, and a store/checkpoint hash
+worker-count/shard-order bit-identity guarantee, and a configuration hash
 that includes the tier describes the run exactly.
 
 Randomness contract
@@ -105,7 +105,7 @@ class TransientFaultSource:
         return None
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable description (feeds checkpoint hashes)."""
+        """JSON-serialisable description (feeds configuration hashes)."""
         raise NotImplementedError
 
 
@@ -388,7 +388,7 @@ class TransientTier:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable description (feeds checkpoint hashes)."""
+        """JSON-serialisable description (feeds configuration hashes)."""
         return {
             "sources": [source.to_dict() for source in self.sources],
             "scrubbing": (

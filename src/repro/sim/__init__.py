@@ -13,7 +13,7 @@ corrupted data, and the output quality is measured on clean test data.
   learning algorithm and a quality metric (the rows of Table 1).
 * :mod:`repro.sim.engine` -- the parallel sharded Monte-Carlo sweep engine:
   deterministic per-die seeding, pluggable shard executors, and shard-level
-  checkpoint/resume.
+  resume from progress records in the result store.
 * :mod:`repro.sim.executor` -- the shard executor tiers (inline, local
   process pool, distributed TCP coordinator) and the work-stealing
   scheduler with heartbeat/deadline fault tolerance they share.

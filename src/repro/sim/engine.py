@@ -17,15 +17,16 @@ This module provides that arrangement:
   sample)`` grid into independent work units, evaluates them inline, on a
   process pool, or on remote workers, and folds each scheme's per-die scores
   into a ``Pr(N = n)``-weighted ECDF.
-* durability -- a JSON checkpoint keyed by a hash of the full configuration,
-  rewritten after every shard or adaptive round, so interrupted sweeps resume
-  without re-evaluating finished dies; a :class:`~repro.store.ResultStore`
-  serves finished sweeps by the same kind of hash.
+* durability -- with a :class:`~repro.store.ResultStore`, a ``progress``
+  record keyed by a hash of the full configuration is appended after every
+  shard or adaptive round, so an interrupted sweep resumes without
+  re-evaluating finished dies, and the finished sweep's result record
+  supersedes it under the same key and is served on later runs.
 
 Only the per-die score differs between the two studies.
 :meth:`SweepEngine.run` scores a die by the quality of a benchmark trained on
 its corrupted features (Fig. 7); :meth:`SweepEngine.run_mse` scores it by its
-local MSE (Eq. 6, Fig. 5).  Plan, seeding, fan-out, checkpoint, store and ECDF
+local MSE (Eq. 6, Fig. 5).  Plan, seeding, fan-out, progress, store and ECDF
 assembly are one code path, and the two are the grid-point evaluators behind
 the :mod:`repro.dse` design-space exploration layer.
 
@@ -55,7 +56,7 @@ die's own child sequence -- to stay reproducible.
 Either sweep also accepts pre-drawn fault maps (``fault_maps=``), which is
 how the legacy :class:`~repro.sim.runner.QualityExperimentRunner` API keeps
 its historical shared-generator sampling (and its golden regression curves)
-while delegating all evaluation, parallelism, and checkpointing to this
+while delegating all evaluation, parallelism, and progress recording to this
 engine.
 
 Budget modes and the streaming reduction
@@ -67,7 +68,7 @@ Two Monte-Carlo budgets are supported over the same sharded machinery:
   ``samples_per_count`` dies, shards return exact per-die scores, and the
   merge path (via the exact mergeable buffer of :mod:`repro.stats`) is
   bit-identical to the historical serial implementations -- this is the mode
-  the pinned golden curves and the per-die checkpoint cache live in.
+  the pinned golden curves and the per-die progress records live in.
 * **Adaptive** (``config.adaptive = AdaptiveBudget(...)``): the sweep runs in
   rounds.  Workers return O(bins) *streaming summaries* per shard -- one
   :class:`~repro.stats.StreamingMoments` of the yield indicator and one
@@ -81,9 +82,9 @@ Two Monte-Carlo budgets are supported over the same sharded machinery:
   ``SeedSequence(master_seed, spawn_key=(count_index, sample_index))``, so a
   die's stream is independent of the allocation path that scheduled it; with
   a fixed shard width the whole run is bit-identical for any worker count.
-  Adaptive state (round summaries and per-stratum sample counts) checkpoints
+  Adaptive state (round summaries and per-stratum sample counts) is recorded
   under a hash that includes the adaptive parameters, so fixed and adaptive
-  caches can never alias.
+  progress can never alias.
 
 When several workers are used, the benchmark's feature matrices and the
 pre-quantized training codes are placed in :mod:`multiprocessing.shared_memory`
@@ -97,9 +98,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import re
-import tempfile
 from dataclasses import asdict, dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -162,7 +161,7 @@ __all__ = [
 ]
 
 _ENGINE_VERSION = 1
-_CHECKPOINT_VERSION = 1
+_PROGRESS_VERSION = 1
 
 # The four Fig. 7 schemes, by registry spec.
 DEFAULT_SCHEME_SPECS: Tuple[str, ...] = (
@@ -355,7 +354,7 @@ class AdaptiveBudget:
         return _DEFAULT_QUALITY_THRESHOLD
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable representation (keys the checkpoint hash)."""
+        """JSON-serialisable representation (keys the configuration hash)."""
         return asdict(self)
 
 
@@ -531,13 +530,14 @@ class SweepRunStats:
         ``"mse"`` (local MSE, Fig. 5).  It is also the store record kind.
     store_key:
         Configuration hash used against the result store (``None`` when the
-        run had no store configured).
+        run had no store configured); for an ``adaptive_cap_resumable``
+        probe, the cap-free key of its progress record.
     store_hit:
         ``True`` when the results were served from the store without any
         simulation.
     evaluated_dies:
         Monte-Carlo dies actually evaluated by *this* call -- ``0`` on a
-        store hit, and less than :attr:`total_dies` when a checkpoint
+        store hit, and less than :attr:`total_dies` when stored progress
         resumed part of the sweep.
     total_dies:
         Dies the full sweep comprises (fixed grid size, or the adaptive
@@ -595,18 +595,18 @@ class ExperimentConfig:
     frac_bits:
         Fraction bits of the stored fixed-point format.
     benchmark:
-        Optional benchmark label recorded in the checkpoint hash.
+        Optional benchmark label recorded in the configuration hash.
     scenario:
         Optional :class:`~repro.scenarios.base.ScenarioSpec` naming the
         fault-scenario pipeline every die is drawn through.  ``None`` (and
         any spec of the default ``iid-pcell`` scenario, which is normalised
         to ``None``) reproduces the historical i.i.d. sampling bit-for-bit
-        and leaves every checkpoint hash unchanged; a non-default scenario
+        and leaves every configuration hash unchanged; a non-default scenario
         keys the hash, so caches of different scenarios never alias.
     adaptive:
         Optional :class:`AdaptiveBudget` switching the sweep from the fixed
         ``samples_per_count`` budget to confidence-driven sampling.  ``None``
-        (fixed mode) keeps every historical result and checkpoint hash
+        (fixed mode) keeps every historical result and configuration hash
         bit-identical; a budget keys the hash with its full parameter set.
     access_trace:
         Read passes replayed per load when the scenario carries a transient
@@ -754,11 +754,11 @@ class ExperimentConfig:
         return [build_scheme(spec, self.word_width) for spec in self.scheme_specs]
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable representation (feeds the checkpoint hash).
+        """JSON-serialisable representation (feeds the configuration hash).
 
         The ``scenario`` key is present only for non-default scenarios:
         default sweeps keep the exact payload (and therefore the exact
-        checkpoint hashes) of the pre-scenario engine, while every other
+        configuration hashes) of the pre-scenario engine, while every other
         scenario keys the cache so resumes can never replay another
         scenario's dies.  The key holds the *resolved pipeline* description
         (:meth:`FaultScenario.to_dict`), not the spec: two specs naming the
@@ -783,7 +783,7 @@ class ExperimentConfig:
             data["scenario"] = self.build_scenario().to_dict()
         if self.adaptive is not None:
             # Adaptive budgets key the cache with their full parameter set:
-            # a fixed-mode checkpoint must never resume an adaptive sweep
+            # fixed-mode progress must never resume an adaptive sweep
             # (or vice versa), and two different CI targets must not alias.
             data["adaptive"] = self.adaptive.to_dict()
         if self.access_trace != 1:
@@ -834,94 +834,71 @@ def _inline_run_shard(
 
 
 # --------------------------------------------------------------------------- #
-# Checkpointing
+# Progress records
 # --------------------------------------------------------------------------- #
-def _read_checkpoint_payload(
-    path: str, config_hash: str, mode: str
-) -> Optional[Dict[str, object]]:
-    """Read and validate a checkpoint file (``None`` if absent).
+def _checked_progress(
+    record: Mapping[str, object], config_hash: str, mode: str
+) -> Mapping[str, object]:
+    """The payload of the ``progress`` record a sweep resumes from.
 
-    ``mode`` distinguishes fixed per-die caches from adaptive round-state
-    caches.  The hash check already separates the two (adaptive parameters
-    key the hash), so the mode check only fires on hand-edited files -- but
-    it fires loudly rather than mis-parsing them.
+    ``mode`` distinguishes fixed per-die state from adaptive round state.
+    The key already separates the two (adaptive parameters key the hash),
+    so these checks only fire on hand-made or foreign records -- but they
+    fire loudly rather than mis-parsing them.
     """
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if data.get("version") != _CHECKPOINT_VERSION:
+    payload = record["payload"]
+    if record["kind"] != "progress":
         raise ValueError(
-            f"checkpoint {path!r} has unsupported version {data.get('version')!r}"
+            f"record {config_hash[:16]} holds {record['kind']!r} results "
+            f"where this sweep keeps its progress"
         )
-    if data.get("config_hash") != config_hash:
+    if payload.get("version") != _PROGRESS_VERSION:
         raise ValueError(
-            f"checkpoint {path!r} belongs to a different experiment "
-            f"configuration (hash {data.get('config_hash')!r}, expected "
-            f"{config_hash!r}); delete it or point --checkpoint elsewhere"
+            f"progress record {config_hash[:16]} has unsupported version "
+            f"{payload.get('version')!r}"
         )
-    if data.get("mode", "fixed") != mode:
+    if payload.get("config_hash") != config_hash:
         raise ValueError(
-            f"checkpoint {path!r} holds {data.get('mode', 'fixed')!r}-budget "
-            f"state, expected {mode!r}"
+            f"progress record {config_hash[:16]} belongs to a different "
+            f"experiment configuration (hash {payload.get('config_hash')!r})"
         )
-    return data
+    if payload.get("mode", "fixed") != mode:
+        raise ValueError(
+            f"progress record {config_hash[:16]} holds "
+            f"{payload.get('mode', 'fixed')!r}-budget state, expected {mode!r}"
+        )
+    return payload
 
 
-def _fsync_directory(path: str) -> None:
-    """fsync a directory so a rename inside it is durable, not just ordered."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+@dataclass
+class _Progress:
+    """Where one sweep resumes from and records its progress.
 
-
-def _write_checkpoint_payload(path: str, payload: Mapping[str, object]) -> None:
-    """Durably and atomically write a checkpoint.
-
-    Temp file + ``os.replace`` alone is *atomic* but not *durable*: without
-    an fsync of the temp file a crash shortly after the rename can leave the
-    final name pointing at truncated (or empty) data, and without an fsync of
-    the directory the rename itself may not have reached disk.  Both syncs
-    run here, so once this function returns the checkpoint survives a crash.
+    ``store`` is ``None`` for a sweep without a store, which then keeps no
+    progress.  ``saved`` is the validated payload of the ``progress`` record
+    found under ``key`` when the sweep started (``None`` for a fresh sweep).
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
-    _fsync_directory(directory)
 
+    store: Optional["ResultStore"] = None
+    key: str = ""
+    saved: Optional[Mapping[str, object]] = None
+    meta: Mapping[str, object] = field(default_factory=dict)
 
-def _load_checkpoint(path: str, config_hash: str) -> Dict[int, List[float]]:
-    """Load completed per-die results from ``path`` (empty if absent)."""
-    data = _read_checkpoint_payload(path, config_hash, "fixed")
-    if data is None:
-        return {}
-    return {int(k): [float(v) for v in vs] for k, vs in data["dies"].items()}
-
-
-def _save_checkpoint(
-    path: str, config_hash: str, dies: Mapping[int, Sequence[float]]
-) -> None:
-    """Atomically write the per-die results cache."""
-    _write_checkpoint_payload(
-        path,
-        {
-            "version": _CHECKPOINT_VERSION,
-            "config_hash": config_hash,
-            "dies": {str(k): list(v) for k, v in sorted(dies.items())},
-        },
-    )
+    def record(self, payload: Mapping[str, object], dies: int) -> None:
+        """Append one progress record holding ``dies`` finished dies (no-op
+        without a store)."""
+        if self.store is not None:
+            payload = {
+                "version": _PROGRESS_VERSION,
+                "config_hash": self.key,
+                **payload,
+            }
+            self.store.put_record(
+                self.key,
+                "progress",
+                payload,
+                meta={**self.meta, "total_dies": dies},
+            )
 
 
 # --------------------------------------------------------------------------- #
@@ -1087,7 +1064,7 @@ class SweepEngine:
         extra: Optional[Mapping[str, object]] = None,
         adaptive_cap_resumable: bool = False,
     ) -> str:
-        """Hash identifying this sweep's results (keys the checkpoint cache).
+        """Hash identifying this sweep's results (keys its store records).
 
         ``fixed_point`` is the *effective* storage format of the run --
         overrides must enter the hash, or a resume could silently replay
@@ -1098,7 +1075,7 @@ class SweepEngine:
 
         ``adaptive_cap_resumable`` drops the adaptive budget's
         ``max_total_samples`` from the digest and stamps a ``cap_resumable``
-        marker in its place: the round-state checkpoint of an adaptive sweep
+        marker in its place: the round-state progress of an adaptive sweep
         is then shared by every die cap, so a partial run resumes under a
         *larger* cap without re-simulating completed rounds.  The marker
         keeps these hashes disjoint from ordinary (cap-exact) adaptive
@@ -1157,7 +1134,6 @@ class SweepEngine:
         benchmark: BenchmarkDefinition,
         *,
         workers: int = 1,
-        checkpoint: Optional[str] = None,
         shard_size: Optional[int] = None,
         shard_order: Optional[Sequence[int]] = None,
         fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]] = None,
@@ -1178,14 +1154,6 @@ class SweepEngine:
             (fully debuggable); higher counts fan shards out over a
             :class:`ProcessPoolExecutor`.  Results are bit-identical for any
             value.
-        checkpoint:
-            Optional path of a JSON results cache.  Completed dies are loaded
-            from it, the file is rewritten after every finished shard, and a
-            finished sweep leaves a cache that replays instantly.  Each save
-            serialises all results so far; with the default shard sizing (a
-            few shards per worker) that stays negligible, but combining
-            ``shard_size=1`` with very large sweeps trades checkpoint I/O for
-            resume granularity.
         shard_size:
             Dies per work unit (defaults to a balanced split across workers).
         shard_order:
@@ -1201,8 +1169,16 @@ class SweepEngine:
             Optional :class:`~repro.store.ResultStore`.  An exact
             configuration-hash hit is served from the store -- bit-identical,
             with zero new die evaluations and no benchmark training -- and a
-            computed sweep is recorded into it.  Results are unchanged either
-            way; :attr:`last_run_stats` says which path ran.
+            computed sweep is recorded into it.  While the sweep runs, a
+            ``progress`` record under the same key is appended after every
+            finished shard (fixed budget) or round (adaptive), and a re-run
+            after an interruption resumes from it without re-evaluating
+            finished dies.  Each progress record holds all results so far;
+            with the default shard sizing (a few shards per worker) that
+            stays negligible, but combining ``shard_size=1`` with very large
+            sweeps trades store bytes for resume granularity (``store gc``
+            drops superseded records).  Results are unchanged either way;
+            :attr:`last_run_stats` says which path ran.
         executor:
             Shard execution backend: ``None`` (default -- process pool when
             ``workers > 1``, inline otherwise), a kind string (``"inline"``,
@@ -1213,12 +1189,13 @@ class SweepEngine:
             --connect HOST:PORT``.  Results are bit-identical for every
             backend, worker count, and re-dispatch history.
         adaptive_cap_resumable:
-            Key the *checkpoint* by the cap-free adaptive hash (see
+            Record progress under the cap-free adaptive hash (see
             :meth:`config_hash`), so a finished run at one die cap seeds a
             later run at a larger cap -- the successive-halving pattern of
-            the budgeted optimizer.  Store records are unaffected: a
-            complete result depends on the cap, so store keys always carry
-            it.  Requires an adaptive budget.
+            the budgeted optimizer.  Such a run reads and writes only that
+            progress record: its result depends on the resume history, so
+            it never serves or records a result.  Requires an adaptive
+            budget and a ``store``.
         """
         config = self._config
         if fixed_point is None:
@@ -1261,7 +1238,6 @@ class SweepEngine:
         return self._sweep(
             mode,
             workers=workers,
-            checkpoint=checkpoint,
             shard_size=shard_size,
             shard_order=shard_order,
             fault_maps=fault_maps,
@@ -1274,7 +1250,6 @@ class SweepEngine:
         self,
         *,
         workers: int = 1,
-        checkpoint: Optional[str] = None,
         shard_size: Optional[int] = None,
         shard_order: Optional[Sequence[int]] = None,
         fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]] = None,
@@ -1285,8 +1260,8 @@ class SweepEngine:
     ) -> Dict[str, "MseDistribution"]:
         """Run the sweep scoring each die by its local MSE (the Fig. 5 study).
 
-        Same sharded grid, per-die seeding, parallel fan-out, and checkpoint
-        cache as :meth:`run`, but each die is evaluated analytically --
+        Same sharded grid, per-die seeding, parallel fan-out, and progress
+        records as :meth:`run`, but each die is evaluated analytically --
         :func:`~repro.quality.mse.mse_of_fault_map` per scheme -- instead of
         retraining a benchmark, and the merged result is one
         :class:`~repro.faultmodel.yieldmodel.MseDistribution` per scheme.
@@ -1298,11 +1273,12 @@ class SweepEngine:
         to the scalar reference.
         ``include_fault_free`` adds the ``Pr(N = 0)`` point mass at MSE = 0
         (pass ``False`` for the paper's Eq. 5 conditional view).
-        ``store`` behaves as in :meth:`run` (serve exact hash hits, record
-        computed sweeps), and so do ``executor`` (``None``/``"local"``,
-        ``"inline"``, or an :class:`~repro.sim.executor.ExecutorSpec`) and
-        ``adaptive_cap_resumable`` (checkpoint round-state shared across
-        adaptive die caps).
+        ``store`` behaves as in :meth:`run` (serve exact hash hits, resume
+        from progress, record computed sweeps), and so do ``executor``
+        (``None``/``"local"``, ``"inline"``, or an
+        :class:`~repro.sim.executor.ExecutorSpec`) and
+        ``adaptive_cap_resumable`` (round state shared across adaptive die
+        caps).
         """
         from repro.faultmodel.yieldmodel import MseDistribution
 
@@ -1339,7 +1315,6 @@ class SweepEngine:
         return self._sweep(
             mode,
             workers=workers,
-            checkpoint=checkpoint,
             shard_size=shard_size,
             shard_order=shard_order,
             fault_maps=fault_maps,
@@ -1353,7 +1328,6 @@ class SweepEngine:
         mode: _SweepMode,
         *,
         workers: int,
-        checkpoint: Optional[str],
         shard_size: Optional[int],
         shard_order: Optional[Sequence[int]],
         fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]],
@@ -1363,10 +1337,10 @@ class SweepEngine:
     ) -> Dict[str, object]:
         """The one sweep body behind :meth:`run` and :meth:`run_mse`.
 
-        Validates every argument, serves an exact store hit, otherwise runs
-        the fixed or adaptive budget over the mode's die score, folds each
-        scheme's scores into a ``Pr(N = n)``-weighted ECDF, and records the
-        result in the store.
+        Validates every argument, serves a stored result or resumes from
+        stored progress, otherwise runs the fixed or adaptive budget over the
+        mode's die score, folds each scheme's scores into a
+        ``Pr(N = n)``-weighted ECDF, and records the result in the store.
         """
         config = self._config
         self._validate(
@@ -1374,28 +1348,38 @@ class SweepEngine:
             shard_size=shard_size,
             shard_order=shard_order,
             fault_maps=fault_maps,
+            store=store,
             adaptive_cap_resumable=adaptive_cap_resumable,
         )
         executor_spec = ExecutorSpec.coerce(executor)
         self._last_executor = "inline"
         self._last_redispatched = 0
 
-        def key(cap_resumable: bool) -> str:
-            return self.config_hash(
-                fault_maps=fault_maps,
-                adaptive_cap_resumable=cap_resumable,
-                **mode.hash_kwargs,
-            )
-
+        progress = _Progress()
         store_key: Optional[str] = None
         if store is not None:
-            store_key = key(False)
-            record = store.get_record(store_key, kind=mode.evaluation)
+            # For a plain run this is the result key too, so the finished
+            # result supersedes the sweep's progress record.
+            store_key = self.config_hash(
+                fault_maps=fault_maps,
+                adaptive_cap_resumable=adaptive_cap_resumable,
+                **mode.hash_kwargs,
+            )
+            progress = _Progress(
+                store, store_key, meta=self._record_meta(mode)
+            )
+            record = store.get_record(store_key)
+            # A cap-resumable run's result depends on its resume history, so
+            # its key only ever holds progress.
+            if record is not None and not adaptive_cap_resumable:
+                if record["kind"] == mode.evaluation:
+                    return self._serve_stored(mode, record, store_key)
             if record is not None:
-                return self._serve_stored(mode, record, store_key)
-        checkpoint_key = (
-            key(adaptive_cap_resumable) if checkpoint is not None else ""
-        )
+                progress.saved = _checked_progress(
+                    record,
+                    store_key,
+                    "fixed" if config.adaptive is None else "adaptive",
+                )
         context: Dict[str, object] = {
             "evaluation": mode.evaluation,
             "organization": config.organization,
@@ -1416,8 +1400,7 @@ class SweepEngine:
                 context,
                 zero_mass=zero_mass,
                 workers=workers,
-                checkpoint=checkpoint,
-                config_hash=checkpoint_key,
+                progress=progress,
                 executor=executor_spec,
             )
             total_dies = report.total_dies
@@ -1430,8 +1413,7 @@ class SweepEngine:
             die_results = self._execute(
                 context,
                 workers=workers,
-                checkpoint=checkpoint,
-                config_hash=checkpoint_key,
+                progress=progress,
                 shard_size=shard_size,
                 shard_order=shard_order,
                 fault_maps=fault_maps,
@@ -1467,7 +1449,7 @@ class SweepEngine:
             executor=self._last_executor,
             redispatched_shards=self._last_redispatched,
         )
-        if store is not None:
+        if store is not None and not adaptive_cap_resumable:
             self._record_results(store, store_key, mode, results, report)
         return results
 
@@ -1478,6 +1460,7 @@ class SweepEngine:
         shard_size: Optional[int],
         shard_order: Optional[Sequence[int]],
         fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]],
+        store: Optional["ResultStore"],
         adaptive_cap_resumable: bool,
     ) -> None:
         """Reject bad sweep arguments -- before the store lookup, so whether a
@@ -1486,6 +1469,11 @@ class SweepEngine:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         _check_cap_resumable(config, adaptive_cap_resumable)
+        if adaptive_cap_resumable and store is None:
+            raise ValueError(
+                "adaptive_cap_resumable requires a store: the cap-free "
+                "progress record it resumes from and extends lives there"
+            )
         if self._scenario.transient is not None and (
             config.master_seed is None or fault_maps is not None
         ):
@@ -1549,20 +1537,26 @@ class SweepEngine:
     ) -> None:
         """Append a finished sweep's results to the store."""
         stats = self._last_run_stats
-        benchmark = mode.hash_kwargs.get("benchmark")
         store.put_record(
             store_key,
             mode.evaluation,
             _payload_codec(mode.evaluation)[0](results, report),
             meta={
-                "benchmark": None if benchmark is None else benchmark.name,
-                "evaluation": mode.evaluation,
-                "schemes": [scheme.name for scheme in self._schemes],
-                "p_cell": self._config.p_cell,
+                **self._record_meta(mode),
                 "evaluated_dies": stats.evaluated_dies,
                 "total_dies": stats.total_dies,
             },
         )
+
+    def _record_meta(self, mode: _SweepMode) -> Dict[str, object]:
+        """The queryable summary columns of this sweep's store records."""
+        benchmark = mode.hash_kwargs.get("benchmark")
+        return {
+            "benchmark": None if benchmark is None else benchmark.name,
+            "evaluation": mode.evaluation,
+            "schemes": [scheme.name for scheme in self._schemes],
+            "p_cell": self._config.p_cell,
+        }
 
     def _note_executor(self, dispatcher: ShardExecutor) -> None:
         """Record which executor tier ran and how many shards it re-dispatched
@@ -1575,8 +1569,7 @@ class SweepEngine:
         context: Dict[str, object],
         *,
         workers: int,
-        checkpoint: Optional[str],
-        config_hash: str,
+        progress: _Progress,
         shard_size: Optional[int],
         shard_order: Optional[Sequence[int]],
         fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]],
@@ -1597,8 +1590,11 @@ class SweepEngine:
             entries.append((die_index, count_index, sample_index, count, explicit))
 
         die_results: Dict[int, List[float]] = {}
-        if checkpoint is not None:
-            die_results.update(_load_checkpoint(checkpoint, config_hash))
+        if progress.saved is not None:
+            die_results.update(
+                (int(k), [float(v) for v in vs])
+                for k, vs in progress.saved["dies"].items()
+            )
         pending = [e for e in entries if e[0] not in die_results]
         self._dies_evaluated = len(pending)
 
@@ -1614,8 +1610,8 @@ class SweepEngine:
         def _absorb(shard_results: List[Tuple[int, List[float]]]) -> None:
             for die_index, values in shard_results:
                 die_results[die_index] = values
-            if checkpoint is not None:
-                _save_checkpoint(checkpoint, config_hash, die_results)
+            dies = {str(k): list(v) for k, v in sorted(die_results.items())}
+            progress.record({"dies": dies}, len(die_results))
 
         # TCP executors keep their configured fan-out: remote workers decide
         # their own parallelism, and a single-shard sweep still has to bind
@@ -1646,8 +1642,7 @@ class SweepEngine:
         *,
         zero_mass: Optional[Tuple[float, float]],
         workers: int,
-        checkpoint: Optional[str],
-        config_hash: str,
+        progress: _Progress,
         executor: Optional[ExecutorSpec] = None,
     ) -> Tuple[Dict[Tuple[int, int], FixedGridEcdfSketch], AdaptiveBudgetReport]:
         """Round-based confidence-driven sweep (the adaptive execution core).
@@ -1656,8 +1651,8 @@ class SweepEngine:
         workers return O(bins) streaming summaries; the parent folds them in
         shard order, re-estimates every scheme's yield-at-threshold CI, and
         either stops or Neyman-allocates the next round by the observed
-        per-stratum standard deviations.  State is checkpointed after every
-        round when a cache path is given.  Returns the merged per-(scheme,
+        per-stratum standard deviations.  Round state is recorded as progress
+        after every round.  Returns the merged per-(scheme,
         stratum) sketches and the run's report.
         """
         config = self._config
@@ -1696,26 +1691,32 @@ class SweepEngine:
         max_payload = 0
         self._dies_evaluated = 0
 
-        if checkpoint is not None:
-            saved = _read_checkpoint_payload(checkpoint, config_hash, "adaptive")
-            if saved is not None:
-                rounds_done = int(saved["rounds"])
-                samples_done = {
-                    int(k): int(v)
-                    for k, v in saved["samples_per_count_index"].items()
-                }
-                trackers = [
-                    StratumVarianceTracker.from_dict(data)
-                    for data in saved["trackers"]
-                ]
-                for key, data in saved["sketches"].items():
-                    scheme_index, count_index = (
-                        int(part) for part in key.split(":")
-                    )
-                    sketches[(scheme_index, count_index)] = (
-                        FixedGridEcdfSketch.from_dict(data)
-                    )
-                max_payload = int(saved.get("max_shard_payload_scalars", 0))
+        saved = progress.saved
+        if saved is not None:
+            rounds_done = int(saved["rounds"])
+            samples_done = {
+                int(k): int(v)
+                for k, v in saved["samples_per_count_index"].items()
+            }
+            if sum(samples_done.values()) > max_total:
+                raise ValueError(
+                    f"the stored progress already holds "
+                    f"{sum(samples_done.values())} dies, more than this "
+                    f"run's die cap of {max_total}; a sweep cannot resume "
+                    f"past its cap"
+                )
+            trackers = [
+                StratumVarianceTracker.from_dict(data)
+                for data in saved["trackers"]
+            ]
+            for key, data in saved["sketches"].items():
+                scheme_index, count_index = (
+                    int(part) for part in key.split(":")
+                )
+                sketches[(scheme_index, count_index)] = (
+                    FixedGridEcdfSketch.from_dict(data)
+                )
+            max_payload = int(saved.get("max_shard_payload_scalars", 0))
 
         context = dict(context)
         context["adaptive"] = {
@@ -1778,29 +1779,26 @@ class SweepEngine:
                 for ci, batch in allocation.items():
                     samples_done[ci] += batch
                 rounds_done += 1
-                if checkpoint is not None:
-                    _write_checkpoint_payload(
-                        checkpoint,
-                        {
-                            "version": _CHECKPOINT_VERSION,
-                            "config_hash": config_hash,
-                            "mode": "adaptive",
-                            "rounds": rounds_done,
-                            "samples_per_count_index": {
-                                str(ci): samples_done[ci]
-                                for ci in sorted(samples_done)
-                            },
-                            "trackers": [
-                                tracker.to_dict() for tracker in trackers
-                            ],
-                            "sketches": {
-                                f"{si}:{ci}": sketches[(si, ci)].to_dict()
-                                for si, ci in sorted(sketches)
-                                if sketches[(si, ci)].count
-                            },
-                            "max_shard_payload_scalars": max_payload,
+                progress.record(
+                    {
+                        "mode": "adaptive",
+                        "rounds": rounds_done,
+                        "samples_per_count_index": {
+                            str(ci): samples_done[ci]
+                            for ci in sorted(samples_done)
                         },
-                    )
+                        "trackers": [
+                            tracker.to_dict() for tracker in trackers
+                        ],
+                        "sketches": {
+                            f"{si}:{ci}": sketches[(si, ci)].to_dict()
+                            for si, ci in sorted(sketches)
+                            if sketches[(si, ci)].count
+                        },
+                        "max_shard_payload_scalars": max_payload,
+                    },
+                    sum(samples_done.values()),
+                )
         finally:
             if dispatcher is not None:
                 self._note_executor(dispatcher)
@@ -1851,8 +1849,8 @@ class SweepEngine:
             return []
         if shard_size is None:
             # A few shards per worker balances load without flooding the
-            # queue; inline runs keep several shards so checkpoints land
-            # regularly.
+            # queue; inline runs keep several shards so progress records
+            # land regularly.
             shard_size = max(1, math.ceil(len(entries) / max(4 * workers, 4)))
         return [
             entries[start:start + shard_size]

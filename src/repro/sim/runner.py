@@ -10,7 +10,7 @@ fault-free point mass -- to form the quality CDFs plotted in Fig. 7.
 This class is the legacy, generator-seeded front end of the sweep: fault maps
 are drawn sequentially from the caller's ``np.random.Generator`` (preserving
 the exact random stream of the original serial implementation and its golden
-regression curves), and evaluation, parallel fan-out, and checkpointing are
+regression curves), and evaluation, parallel fan-out, and the result store are
 delegated to :class:`repro.sim.engine.SweepEngine`.  Because the evaluation
 of a drawn die is deterministic, ``run(..., workers=N)`` returns bit-identical
 distributions for every ``N``.  New code that wants parallel *sampling* as
@@ -28,7 +28,7 @@ engine's seeded sampling path (``figure5_mse_cdf`` / ``figure7_quality``
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from repro.sim.engine import (
     reassign_count_probabilities,
 )
 from repro.sim.experiment import BenchmarkDefinition
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports sim)
+    from repro.store.store import ResultStore
 
 __all__ = ["QualityDistribution", "QualityExperimentRunner"]
 
@@ -132,7 +135,7 @@ class QualityExperimentRunner:
         n_count_points: Optional[int] = None,
         discard_multi_fault_words: bool = True,
         workers: int = 1,
-        checkpoint: Optional[str] = None,
+        store: Optional["ResultStore"] = None,
     ) -> Dict[str, QualityDistribution]:
         """Run the benchmark for every scheme over a shared population of dies.
 
@@ -144,8 +147,9 @@ class QualityExperimentRunner:
         ``workers`` fans the (deterministic) per-die evaluation out over that
         many processes; the fault maps are always drawn serially from this
         runner's generator first, so the returned distributions are
-        bit-identical for every worker count.  ``checkpoint`` optionally names
-        a JSON results cache written after every completed shard (see
+        bit-identical for every worker count.  ``store`` optionally names a
+        :class:`~repro.store.ResultStore` that serves the finished sweep and
+        records its progress after every completed shard (see
         :meth:`repro.sim.engine.SweepEngine.run`).
         """
         if samples_per_count <= 0:
@@ -175,6 +179,6 @@ class QualityExperimentRunner:
             sampling="legacy",
             rng=self._rng,
             workers=workers,
-            checkpoint=checkpoint,
             fixed_point=self._fixed_point,
+            store=store,
         )

@@ -11,7 +11,7 @@ models.  The algebra every implementation must satisfy (and that
   and exact for the integer state (counts, bin tallies);
 * ``merge`` with an empty summary is the identity;
 * ``to_dict`` / ``from_dict`` round-trip the state exactly (JSON-safe), so
-  summaries can live in checkpoints.
+  summaries can live in progress records.
 
 Bit-level reproducibility across worker counts is achieved by *canonical
 fold order*, not by pretending float addition associates: the sweep engine
@@ -46,4 +46,4 @@ class StreamingSummary(Protocol):
         """The summarised statistic(s); does not mutate the summary."""
 
     def to_dict(self) -> Mapping[str, Any]:
-        """JSON-serialisable state (for checkpoints)."""
+        """JSON-serialisable state (for progress records)."""

@@ -4,11 +4,13 @@ The store keys every result by the engine's full configuration hash, which
 covers the spec-side knobs (geometry, operating point, budget, seeds,
 scenario, schemes) *and* the code-side contract (engine version, resolved
 scenario pipeline, benchmark data bytes).  A grid point is therefore **clean**
-exactly when its freshly computed hash is already in the store, and **dirty**
-when anything that could change its result -- a spec edit, a benchmark data
-change, an engine version bump -- moved the hash.  Re-running an explorer
-against a warm store recomputes only the dirty points; this module is the
-standalone pass that lists them without running anything.
+exactly when the live record of its freshly computed hash is a finished
+``quality`` result, and **dirty** when anything that could change its result
+-- a spec edit, a benchmark data change, an engine version bump -- moved the
+hash, or when the hash holds only the ``progress`` of an interrupted sweep.
+Re-running an explorer against a warm store recomputes only the dirty
+points; this module is the standalone pass that lists them without running
+anything.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ def grid_point_statuses(
     from repro.dse.registry import build_benchmark
     from repro.sim.engine import SweepEngine
 
+    live_kinds = {summary["key"]: summary["kind"] for summary in store.query()}
     statuses: List[GridPointStatus] = []
     points = spec.operating_points()
     for benchmark_name in spec.benchmarks.names:
@@ -65,7 +68,7 @@ def grid_point_statuses(
                     vdd=point.vdd,
                     p_cell=point.p_cell,
                     key=key,
-                    dirty=key not in store,
+                    dirty=live_kinds.get(key) != "quality",
                 )
             )
     return statuses

@@ -5,19 +5,19 @@ A store record is one immutable JSON document::
     {
         "schema_version": 1,
         "key":  "<sha256 config hash>",
-        "kind": "quality" | "mse",
+        "kind": "quality" | "mse" | "dse-rung" | "progress",
         "seq":  <monotone per-store ordinal>,
         "meta": {...summary columns, queryable without decoding the payload},
         "payload": {...the full result, exact to the bit},
     }
 
 ``key`` is the sweep engine's configuration hash -- the same digest that keys
-the checkpoint cache -- so a record identifies *exactly one* reproducible
-computation: geometry, operating point, budget, seeds, scenario, schemes,
-fixed-point format, and (for quality sweeps) the benchmark's raw data bytes
-all enter the digest.  Two runs with the same key are bit-identical by the
-engine's determinism contract, which is what makes serving a stored record in
-place of a re-simulation sound.
+the sweep's progress records -- so a record identifies *exactly one*
+reproducible computation: geometry, operating point, budget, seeds,
+scenario, schemes, fixed-point format, and (for quality sweeps) the
+benchmark's raw data bytes all enter the digest.  Two runs with the same key
+are bit-identical by the engine's determinism contract, which is what makes
+serving a stored record in place of a re-simulation sound.
 
 Payload codecs round-trip results exactly: float values survive JSON via
 ``repr`` shortest-round-trip encoding, and :class:`~repro.quality.cdf.
@@ -57,13 +57,20 @@ SCHEMA_VERSION = 1
 #: Format marker written to ``store.json`` (refuses foreign directories).
 STORE_FORMAT = "repro-result-store"
 
-#: Record kinds the codecs below can decode.  ``quality`` / ``mse`` hold one
-#: finished sweep per record; ``dse-rung`` holds one *partial* adaptive sweep
-#: of the budgeted optimizer -- the per-scheme distributions at a rung's die
-#: cap plus the engine's round-state checkpoint payload, keyed by the
-#: cap-free (resumable) configuration hash suffixed with the rung index and
-#: cap, so a killed optimizer run resumes mid-rung bit-identically.
-RECORD_KINDS = ("quality", "mse", "dse-rung")
+#: Record kinds a store holds.  ``quality`` / ``mse`` hold one finished sweep
+#: per record (decoded by the codecs below).  ``progress`` holds an
+#: *unfinished* sweep's state, appended by the engine after every shard
+#: (fixed budget: ``version``, ``config_hash`` and the per-die ``dies``
+#: scores) or adaptive round (``mode: "adaptive"`` plus the round state) so
+#: an interrupted sweep resumes without re-evaluating finished dies.  For a
+#: plain sweep it shares the result's key, so the finished result supersedes
+#: it and ``gc`` drops it; a progress record is never a result.
+#: ``dse-rung`` holds one *partial* adaptive sweep of the budgeted optimizer
+#: -- the per-scheme distributions at a rung's die cap plus the engine's
+#: round-state progress payload, keyed by the cap-free (resumable)
+#: configuration hash suffixed with the rung index and cap, so a killed
+#: optimizer run resumes mid-rung bit-identically.
+RECORD_KINDS = ("quality", "mse", "dse-rung", "progress")
 
 
 class StoreError(RuntimeError):

@@ -2,14 +2,12 @@
 
 Covers the controller's contract end to end: bit-identical results for any
 worker count, early stopping with fewer dies than the fixed budget, hard die
-caps, adaptive-state checkpointing keyed by the adaptive parameters,
+caps, adaptive-state progress records keyed by the adaptive parameters,
 O(bins) shard payloads, the spec/CLI surface, and the shared-memory context
 fan-out.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
@@ -31,6 +29,9 @@ from repro.sim.engine import (
 )
 from repro.sim.experiment import knn_benchmark
 from repro.sim.sharedmem import SharedNdarray
+from repro.store import ResultStore
+
+from test_engine import _Killed, _kill_after_progress, _progress_payloads
 
 SCHEMES = ("no-protection", "bit-shuffle-nfm2")
 
@@ -280,21 +281,21 @@ class TestAdaptiveCheckpoint:
 
     def test_round_trip_replays_without_evaluation(self, tmp_path, monkeypatch):
         config = _config(adaptive=AdaptiveBudget(target_ci=0.04))
-        path = str(tmp_path / "adaptive.json")
         engine = SweepEngine(config)
-        first = engine.run_mse(checkpoint=path)
-        first_report = engine.last_adaptive_report
+        with ResultStore(str(tmp_path / "store")) as store:
+            first = engine.run_mse(store=store)
+            first_report = engine.last_adaptive_report
 
-        data = json.loads((tmp_path / "adaptive.json").read_text())
-        assert data["mode"] == "adaptive"
-        assert data["rounds"] == first_report.rounds
+            data = _progress_payloads(store)[-1]
+            assert data["mode"] == "adaptive"
+            assert data["rounds"] == first_report.rounds
 
-        def _must_not_run(entries, context):
-            raise AssertionError("complete adaptive checkpoint must not re-run")
+            def _must_not_run(entries, context):
+                raise AssertionError("complete adaptive sweep must not re-run")
 
-        monkeypatch.setattr(engine_module, "_summarize_shard", _must_not_run)
-        replay_engine = SweepEngine(config)
-        replay = replay_engine.run_mse(checkpoint=path)
+            monkeypatch.setattr(engine_module, "_summarize_shard", _must_not_run)
+            replay_engine = SweepEngine(config)
+            replay = replay_engine.run_mse(store=store)
         assert _curves(replay) == _curves(first)
         assert replay_engine.last_adaptive_report == first_report
 
@@ -309,7 +310,6 @@ class TestAdaptiveCheckpoint:
         reference_report = engine.last_adaptive_report
         assert reference_report.rounds >= 2  # the kill must land mid-sweep
 
-        path = str(tmp_path / "interrupted.json")
         real_summarize = engine_module._summarize_shard
         seen = {"shards": 0}
 
@@ -322,17 +322,45 @@ class TestAdaptiveCheckpoint:
         monkeypatch.setattr(
             engine_module, "_summarize_shard", _dies_mid_second_round
         )
-        with pytest.raises(RuntimeError, match="simulated kill"):
-            SweepEngine(config).run_mse(checkpoint=path)
-        monkeypatch.setattr(engine_module, "_summarize_shard", real_summarize)
+        with ResultStore(str(tmp_path / "store")) as store:
+            with pytest.raises(RuntimeError, match="simulated kill"):
+                SweepEngine(config).run_mse(store=store)
+            monkeypatch.setattr(engine_module, "_summarize_shard", real_summarize)
 
-        partial = json.loads((tmp_path / "interrupted.json").read_text())
-        assert 0 < partial["rounds"] < reference_report.rounds
+            partial = _progress_payloads(store)[-1]
+            assert 0 < partial["rounds"] < reference_report.rounds
 
-        resumed_engine = SweepEngine(config)
-        resumed = resumed_engine.run_mse(checkpoint=path)
+            resumed_engine = SweepEngine(config)
+            resumed = resumed_engine.run_mse(store=store)
         assert _curves(resumed) == _curves(uninterrupted)
         assert resumed_engine.last_adaptive_report == reference_report
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kill_after_every_round_resumes_bit_identically(
+        self, tmp_path, monkeypatch, workers
+    ):
+        config = _config(
+            adaptive=AdaptiveBudget(target_ci=0.02, round_dies=24)
+        )
+        engine = SweepEngine(config)
+        uninterrupted = engine.run_mse()
+        reference_report = engine.last_adaptive_report
+        assert reference_report.rounds >= 2
+        for k in range(1, reference_report.rounds + 1):
+            root = str(tmp_path / f"store-{k}")
+            with monkeypatch.context() as patch, ResultStore(root) as store:
+                _kill_after_progress(store, patch, k)
+                with pytest.raises(_Killed):
+                    SweepEngine(config).run_mse(store=store, workers=workers)
+            with ResultStore(root) as store:
+                resumed_engine = SweepEngine(config)
+                resumed = resumed_engine.run_mse(store=store, workers=workers)
+            assert _curves(resumed) == _curves(uninterrupted), k
+            assert resumed_engine.last_adaptive_report == reference_report, k
+            evaluated = resumed_engine.last_run_stats.evaluated_dies
+            assert evaluated < reference_report.total_dies, k
+            if k == reference_report.rounds:
+                assert evaluated == 0
 
     def test_fixed_checkpoint_file_is_rejected(self, tmp_path):
         config = _config(adaptive=AdaptiveBudget(target_ci=0.04))
@@ -340,14 +368,66 @@ class TestAdaptiveCheckpoint:
         config_hash = engine.config_hash(
             None, None, extra={"evaluation": "mse", "include_fault_free": True}
         )
-        path = tmp_path / "wrong-mode.json"
-        path.write_text(
-            json.dumps(
-                {"version": 1, "config_hash": config_hash, "dies": {}}
+        with ResultStore(str(tmp_path / "store")) as store:
+            store.put_record(
+                config_hash,
+                "progress",
+                {"version": 1, "config_hash": config_hash, "dies": {}},
+            )
+            with pytest.raises(ValueError, match="fixed"):
+                engine.run_mse(store=store)
+
+
+class TestCapResumableProbes:
+    """``adaptive_cap_resumable`` runs: the successive-halving probes of the
+    budgeted optimizer, which continue one round state across die caps."""
+
+    @staticmethod
+    def _probe(cap):
+        return _config(
+            adaptive=AdaptiveBudget(
+                target_ci=1e-6,
+                threshold=1e9,  # a split yield, so no round stops early
+                initial_samples_per_count=2,
+                round_dies=16,
+                max_total_samples=cap,
             )
         )
-        with pytest.raises(ValueError, match="fixed"):
-            engine.run_mse(checkpoint=str(path))
+
+    def test_requires_a_store(self):
+        with pytest.raises(ValueError, match="requires a store"):
+            SweepEngine(self._probe(12)).run_mse(adaptive_cap_resumable=True)
+
+    def test_resumed_probe_never_aliases_a_plain_run(self, tmp_path):
+        # A probe resumed from a smaller cap has a different history than a
+        # fresh run at its cap; the store must never serve one for the other.
+        fresh_engine = SweepEngine(self._probe(60))
+        fresh = fresh_engine.run_mse()
+        fresh_report = fresh_engine.last_adaptive_report
+        with ResultStore(str(tmp_path / "store")) as store:
+            SweepEngine(self._probe(10)).run_mse(
+                store=store, adaptive_cap_resumable=True
+            )
+            probe = SweepEngine(self._probe(60))
+            probe.run_mse(store=store, adaptive_cap_resumable=True)
+            assert probe.last_adaptive_report.total_dies == 60
+            assert store.query(kind="mse") == []
+
+            plain = SweepEngine(self._probe(60))
+            served = plain.run_mse(store=store)
+            assert plain.last_run_stats.store_hit is False
+        assert _curves(served) == _curves(fresh)
+        assert plain.last_adaptive_report == fresh_report
+
+    def test_resume_past_the_cap_is_rejected(self, tmp_path):
+        with ResultStore(str(tmp_path / "store")) as store:
+            SweepEngine(self._probe(60)).run_mse(
+                store=store, adaptive_cap_resumable=True
+            )
+            with pytest.raises(ValueError, match=r"60 dies.*die cap of 20"):
+                SweepEngine(self._probe(20)).run_mse(
+                    store=store, adaptive_cap_resumable=True
+                )
 
 
 class TestAdaptiveSpec:

@@ -8,6 +8,8 @@ import pytest
 
 from repro import cli as cli_module
 from repro.cli import build_parser, main
+from repro.sim import engine as engine_module
+from repro.store import ResultStore
 from repro.dse import (
     BenchmarkGridSpec,
     ExperimentSpec,
@@ -126,7 +128,7 @@ class TestParallelFlags:
         # historical legacy stream unless --adaptive flips it to seeded.
         assert args.sampling is None
         assert cli_module._resolve_sampling(args) == "legacy"
-        assert args.checkpoint is None
+        assert args.store is None
         assert args.adaptive is False
 
     def test_fig7_stdout_identical_for_worker_counts(self, capsys):
@@ -164,17 +166,16 @@ class TestParallelFlags:
         assert parallel == serial
 
     def test_fig7_checkpoint_round_trip(self, capsys, tmp_path):
-        checkpoint = str(tmp_path / "fig7.json")
-        smoke = self.FIG7_SMOKE + ["--checkpoint", checkpoint]
+        smoke = self.FIG7_SMOKE + ["--store", str(tmp_path / "fig7")]
         assert main(smoke) == 0
         first = capsys.readouterr().out
-        assert (tmp_path / "fig7.json").exists()
+        assert (tmp_path / "fig7" / "store.json").exists()
         assert main(smoke) == 0
         resumed = capsys.readouterr().out
         assert resumed == first
 
     # The fig5 sweep shares the fig7 option set (--workers / --sampling /
-    # --checkpoint) since the DSE refactor.
+    # --store) since the DSE refactor.
     FIG5_SMOKE = ["fig5", "--samples", "3", "--p-cell", "1e-4"]
 
     def test_fig5_sweep_flag_defaults(self):
@@ -183,7 +184,7 @@ class TestParallelFlags:
         assert args.workers == 1
         assert args.sampling is None
         assert cli_module._resolve_sampling(args) == "legacy"
-        assert args.checkpoint is None
+        assert args.store is None
         assert args.adaptive is False
 
     def test_fig5_seeded_sampling_identical_for_worker_counts(self, capsys):
@@ -203,14 +204,26 @@ class TestParallelFlags:
         assert seeded != legacy
 
     def test_fig5_checkpoint_round_trip(self, capsys, tmp_path):
-        checkpoint = str(tmp_path / "fig5.json")
-        smoke = self.FIG5_SMOKE + ["--checkpoint", checkpoint]
+        smoke = self.FIG5_SMOKE + ["--store", str(tmp_path / "fig5")]
         assert main(smoke) == 0
         first = capsys.readouterr().out
-        assert (tmp_path / "fig5.json").exists()
+        assert (tmp_path / "fig5" / "store.json").exists()
         assert main(smoke) == 0
         resumed = capsys.readouterr().out
         assert resumed == first
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fig5"], ["fig7"], ["dse", "run"], ["dse", "pareto"],
+            ["dse", "report"], ["dse", "optimize", "--spec", "g.json"],
+        ],
+    )
+    def test_checkpoint_flag_is_gone(self, command):
+        # --store DIR is the one durability path; a JSON checkpoint file
+        # name is no longer accepted anywhere, not even as an alias.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--checkpoint", "run.json"])
 
 
 class TestScenarioFlags:
@@ -353,7 +366,7 @@ class TestDseCommands:
         captured = {}
 
         class _FakeExplorer:
-            def __init__(self, spec, workers=1, checkpoint_dir=None, store=None, executor=None):
+            def __init__(self, spec, workers=1, store=None, executor=None):
                 captured["spec"] = spec
 
             def run(self):
@@ -376,7 +389,7 @@ class TestDseCommands:
         captured = {}
 
         class _FakeExplorer:
-            def __init__(self, spec, workers=1, checkpoint_dir=None, store=None, executor=None):
+            def __init__(self, spec, workers=1, store=None, executor=None):
                 captured["spec"] = spec
 
             def run(self):
@@ -442,29 +455,32 @@ class TestDseCommands:
     def test_dse_checkpoint_dir_reused_across_runs(
         self, capsys, spec_path, tmp_path
     ):
-        cache = str(tmp_path / "grid-cache")
-        args = ["dse", "run", "--spec", spec_path, "--checkpoint", cache]
+        cache = str(tmp_path / "grid-store")
+        args = ["dse", "run", "--spec", spec_path, "--store", cache]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert len(list((tmp_path / "grid-cache").iterdir())) == 3
+        with ResultStore(cache) as store:
+            assert len(store.query(kind="quality")) == 3
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
     def test_dse_scenario_override_changes_sweep_and_cache(
         self, capsys, spec_path, tmp_path
     ):
-        cache = str(tmp_path / "grid-cache")
-        base = ["dse", "run", "--spec", spec_path, "--checkpoint", cache]
+        cache = str(tmp_path / "grid-store")
+        base = ["dse", "run", "--spec", spec_path, "--store", cache]
         assert main(base) == 0
         default_out = capsys.readouterr().out
-        default_files = set((tmp_path / "grid-cache").iterdir())
+        with ResultStore(cache) as store:
+            default_keys = set(store.keys())
         assert "scenario iid-pcell" in default_out
         assert main(base + ["--scenario", "repaired,spare_rows=2"]) == 0
         repaired_out = capsys.readouterr().out
         assert "scenario repaired" in repaired_out
         assert repaired_out != default_out
-        # The override keys its own per-point caches next to the default's.
-        assert default_files < set((tmp_path / "grid-cache").iterdir())
+        # The override keys its own per-point records next to the default's.
+        with ResultStore(cache) as store:
+            assert default_keys < set(store.keys())
 
     def test_dse_scenario_flag_rejected_with_table(self, capsys, spec_path, tmp_path):
         output = str(tmp_path / "table.json")
@@ -553,11 +569,45 @@ class TestStoreCli:
         store_dir = str(tmp_path / "results")
         args = self.FIG5_SMOKE + ["--store", store_dir]
         assert main(args) == 0
+        with ResultStore(store_dir) as store:
+            progress = store.total_records() - 1
+        assert progress > 0  # one progress record per finished shard
         assert main(args) == 0  # warm: no new record, no new segment
         capsys.readouterr()
         assert main(["store", "gc", "--store", store_dir]) == 0
         out = capsys.readouterr().out
-        assert "store gc: kept 1 record(s), dropped 0 superseded" in out
+        # The result superseded the sweep's progress records under its key.
+        assert (
+            f"store gc: kept 1 record(s), dropped {progress} superseded" in out
+        )
+
+    def test_interrupted_fig5_resumes_from_the_store(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        assert main(self.FIG5_SMOKE) == 0
+        uninterrupted = capsys.readouterr().out
+        args = self.FIG5_SMOKE + ["--store", str(tmp_path / "results")]
+        real_evaluate = engine_module._evaluate_shard
+        shards = {"done": 0}
+
+        def _killed_after_one_shard(entries, context):
+            if shards["done"] == 1:
+                raise RuntimeError("simulated kill")
+            shards["done"] += 1
+            return real_evaluate(entries, context)
+
+        monkeypatch.setattr(
+            engine_module, "_evaluate_shard", _killed_after_one_shard
+        )
+        with pytest.raises(RuntimeError, match="simulated kill"):
+            main(args)
+        monkeypatch.setattr(engine_module, "_evaluate_shard", real_evaluate)
+        capsys.readouterr()
+        assert main(args) == 0
+        resumed = capsys.readouterr()
+        assert "store: resuming" in resumed.err
+        assert "store: recorded" in resumed.err
+        assert resumed.out == uninterrupted
 
     def test_store_export_jsonl(self, capsys, tmp_path):
         store_dir = str(tmp_path / "results")

@@ -1,13 +1,14 @@
 """Pinned configuration hashes of the sweep engine.
 
-A configuration hash is the address of every stored result and checkpoint:
-if the hash of an unchanged sweep drifts, every record written before the
-drift is silently orphaned.  Each case below runs one small sweep shape
-against a fresh result store and checkpoint, reads back the keys the engine
-actually used -- the store key from :class:`SweepRunStats`, the checkpoint
-key from the file it wrote -- and compares them with the literals pinned in
-``tests/golden/config_hashes.json``.  The ``config_hash`` calls the DSE
-layer makes directly must land on the same keys.
+A configuration hash is the address of every stored result and of the
+progress records an interrupted sweep resumes from: if the hash of an
+unchanged sweep drifts, every record written before the drift is silently
+orphaned.  Each case below runs one small sweep shape against a fresh result
+store, reads back the keys the engine actually used -- the result key from
+:class:`SweepRunStats` (pinned as ``store``) and the key of its ``progress``
+records (pinned as ``checkpoint``) -- and compares them with the literals
+pinned in ``tests/golden/config_hashes.json``.  The ``config_hash`` calls the
+DSE layer makes directly must land on the same keys.
 
 The benchmark and the pre-drawn fault maps are built from literal arrays, so
 the pins depend on no dataset generator or random stream.
@@ -136,17 +137,28 @@ def _run_keys(name: str, tmp_path) -> dict:
     kwargs = dict(kwargs)
     if kwargs.get("fault_maps"):
         kwargs["fault_maps"] = _fault_maps(config)
-    checkpoint = str(tmp_path / "checkpoint.json")
     engine = SweepEngine(config)
     with ResultStore(str(tmp_path / "store")) as store:
         if evaluation == "quality":
-            engine.run(_benchmark(), store=store, checkpoint=checkpoint, **kwargs)
+            engine.run(_benchmark(), store=store, **kwargs)
         else:
-            engine.run_mse(store=store, checkpoint=checkpoint, **kwargs)
-    assert engine.last_run_stats.store_hit is False
-    with open(checkpoint, "r", encoding="utf-8") as handle:
-        checkpoint_key = json.load(handle)["config_hash"]
-    return {"store": engine.last_run_stats.store_key, "checkpoint": checkpoint_key}
+            engine.run_mse(store=store, **kwargs)
+        (progress_key,) = {
+            record["key"]
+            for record in store.iter_all_records()
+            if record["kind"] == "progress"
+        }
+        result_keys = [summary["key"] for summary in store.query(kind=evaluation)]
+    stats = engine.last_run_stats
+    assert stats.store_hit is False
+    if kwargs.get("adaptive_cap_resumable"):
+        # A cap-resumable probe's result depends on its resume history, so
+        # it keeps only its progress record and never records a result.
+        assert result_keys == []
+        assert stats.store_key == progress_key
+        return {"checkpoint": progress_key}
+    assert result_keys == [stats.store_key]
+    return {"store": stats.store_key, "checkpoint": progress_key}
 
 
 @pytest.fixture(scope="module")
@@ -179,14 +191,14 @@ _RUNG_SPEC = ExperimentSpec(
 def test_dse_rung_keys_match_pins(golden, tmp_path):
     with ResultStore(str(tmp_path / "store")) as store:
         ParetoOptimizer(
-            _RUNG_SPEC, store=store, checkpoint_dir=str(tmp_path / "checkpoints")
+            _RUNG_SPEC, store=store, checkpoint_dir=str(tmp_path / "progress")
         ).run()
         keys = sorted(summary["key"] for summary in store.query(kind="dse-rung"))
     assert keys == golden["dse-rung"]
 
 
 def test_direct_hashes_match_run_keys(golden):
-    """The DSE layer addresses store records and resumable checkpoints by
+    """The DSE layer addresses store records and resumable progress by
     calling ``config_hash`` itself; those calls must land on the run's keys."""
     benchmark = _benchmark()
     assert SweepEngine(_BASE).config_hash() == golden["no-benchmark"]
@@ -199,17 +211,15 @@ def test_direct_hashes_match_run_keys(golden):
 
 
 def test_pins_never_alias(golden):
-    """Different sweeps never share a key.  A run keys its checkpoint and its
-    store record identically, except under ``adaptive_cap_resumable``, which
-    moves only the checkpoint onto the cap-free hash."""
+    """Different sweeps never share a key.  A plain run keys its progress and
+    its result record identically; an ``adaptive_cap_resumable`` probe keeps
+    only progress, under the cap-free hash, which no other sweep shares."""
     keys = [golden["no-benchmark"]]
     for name, (_, _, kwargs) in _RUN_CASES.items():
         entry = golden[name]
         if kwargs.get("adaptive_cap_resumable"):
-            plain = golden[name.replace("-cap-resumable", "")]
-            assert entry["store"] == plain["store"], name
-            keys.append(entry["checkpoint"])
+            assert set(entry) == {"checkpoint"}, name
         else:
             assert entry["checkpoint"] == entry["store"], name
-            keys.append(entry["store"])
+        keys.append(entry["checkpoint"])
     assert len(set(keys)) == len(keys)

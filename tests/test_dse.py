@@ -2,7 +2,7 @@
 
 Covers the unified registry, the layered serialisable spec, the thin-view
 contract of the figure functions (golden equivalence with the pre-DSE
-implementations, bit-for-bit), and the explorer's determinism, checkpoint
+implementations, bit-for-bit), and the explorer's determinism, store
 reuse, and Pareto extraction.
 """
 
@@ -39,6 +39,7 @@ from repro.memory.organization import MemoryOrganization
 from repro.sim import engine as engine_module
 from repro.sim.experiment import knn_benchmark, standard_benchmarks
 from repro.sim.runner import QualityExperimentRunner
+from repro.store import ResultStore
 
 GOLDEN_FIG5_PATH = os.path.join(
     os.path.dirname(__file__), "golden", "fig5_mse_cdf.json"
@@ -327,7 +328,7 @@ class TestFigureGoldenEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# Seeded + checkpointed MSE sweeps (the fig5 flags gained in this PR)
+# Seeded + store-backed MSE sweeps
 # --------------------------------------------------------------------------- #
 class TestSeededMseSweep:
     def test_seeded_bit_identical_for_worker_counts(self):
@@ -355,15 +356,15 @@ class TestSeededMseSweep:
     def test_checkpoint_round_trip_replays_without_evaluation(
         self, tmp_path, monkeypatch
     ):
-        path = str(tmp_path / "fig5.json")
-        first = _fig5_golden(checkpoint=path)
-        assert os.path.exists(path)
+        with ResultStore(str(tmp_path / "store")) as store:
+            first = _fig5_golden(store=store)
+            assert [s["kind"] for s in store.query()] == ["mse"]
 
-        def _must_not_run(entries, context):
-            raise AssertionError("complete checkpoint must not re-evaluate")
+            def _must_not_run(entries, context):
+                raise AssertionError("complete sweep must not re-evaluate")
 
-        monkeypatch.setattr(engine_module, "_evaluate_shard", _must_not_run)
-        replay = _fig5_golden(checkpoint=path)
+            monkeypatch.setattr(engine_module, "_evaluate_shard", _must_not_run)
+            replay = _fig5_golden(store=store)
         for name in first:
             for got, want in zip(
                 first[name].ecdf.curve(), replay[name].ecdf.curve()
@@ -371,8 +372,8 @@ class TestSeededMseSweep:
                 np.testing.assert_array_equal(got, want)
 
     def test_checkpoint_distinguishes_mse_from_quality_mode(self, tmp_path):
-        """An MSE checkpoint must not be replayable by a quality sweep of the
-        same configuration (the evaluation mode keys the hash)."""
+        """An MSE sweep's records must not be replayable by a quality sweep of
+        the same configuration (the evaluation mode keys the hash)."""
         from repro.dse.evaluate import evaluate_mse_point
         from repro.sim.engine import ExperimentConfig, SweepEngine
 
@@ -385,11 +386,13 @@ class TestSeededMseSweep:
             master_seed=3,
             scheme_specs=("no-protection",),
         )
-        path = str(tmp_path / "mode.json")
-        evaluate_mse_point(config, checkpoint=path)
         bench = knn_benchmark(n_samples=60, seed=1)
-        with pytest.raises(ValueError, match="different experiment"):
-            SweepEngine(config).run(bench, checkpoint=path)
+        with ResultStore(str(tmp_path / "store")) as store:
+            evaluate_mse_point(config, store=store)
+            engine = SweepEngine(config)
+            engine.run(bench, store=store)
+            assert engine.last_run_stats.store_hit is False
+            assert sorted(s["kind"] for s in store.query()) == ["mse", "quality"]
 
 
 # --------------------------------------------------------------------------- #
@@ -494,17 +497,17 @@ class TestExplorer:
     def test_checkpoint_dir_replays_without_evaluation(
         self, tmp_path, monkeypatch
     ):
-        directory = str(tmp_path / "grid-cache")
         spec = _smoke_spec()
-        first = DesignSpaceExplorer(spec, checkpoint_dir=directory).run()
-        cached = os.listdir(directory)
-        assert len(cached) == len(spec.operating_points())
+        with ResultStore(str(tmp_path / "grid-store")) as store:
+            first = DesignSpaceExplorer(spec, store=store).run()
+            cached = store.query(kind="quality")
+            assert len(cached) == len(spec.operating_points())
 
-        def _must_not_run(entries, context):
-            raise AssertionError("cached grid points must not re-evaluate")
+            def _must_not_run(entries, context):
+                raise AssertionError("cached grid points must not re-evaluate")
 
-        monkeypatch.setattr(engine_module, "_evaluate_shard", _must_not_run)
-        replay = DesignSpaceExplorer(spec, checkpoint_dir=directory).run()
+            monkeypatch.setattr(engine_module, "_evaluate_shard", _must_not_run)
+            replay = DesignSpaceExplorer(spec, store=store).run()
         assert replay.rows == first.rows
 
     def test_rejects_non_positive_workers(self):

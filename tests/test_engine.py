@@ -3,15 +3,11 @@
 The engine's contract is *bit-identical reproducibility*: for a fixed master
 seed the assembled quality distributions must not depend on the worker count,
 the shard size, the shard execution order, or whether the sweep was
-interrupted and resumed from a checkpoint.  These tests enforce each clause,
-plus the golden equivalence of the legacy runner front end.
+interrupted and resumed from its progress records.  These tests enforce each
+clause, plus the golden equivalence of the legacy runner front end.
 """
 
 from __future__ import annotations
-
-import json
-import os
-import stat
 
 import numpy as np
 import pytest
@@ -33,6 +29,7 @@ from repro.sim.engine import (
 )
 from repro.sim.experiment import knn_benchmark, pca_benchmark
 from repro.sim.runner import QualityExperimentRunner
+from repro.store import ResultStore
 
 from test_runner import GOLDEN_CLEAN_QUALITY, GOLDEN_CURVES, GOLDEN_SAMPLES
 
@@ -291,29 +288,59 @@ class TestLegacyGoldenEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# Checkpoint / resume
+# Progress records / resume
 # --------------------------------------------------------------------------- #
+def _progress_payloads(store):
+    """Payloads of every progress record in ``store``, oldest first."""
+    records = [r for r in store.iter_all_records() if r["kind"] == "progress"]
+    return [r["payload"] for r in sorted(records, key=lambda r: r["seq"])]
+
+
+class _Killed(RuntimeError):
+    """Stands in for the process dying right after a durable write."""
+
+
+def _kill_after_progress(store, monkeypatch, k):
+    """Make ``store`` raise right after its ``k``-th progress record lands."""
+    real_put = store.put_record
+    puts = {"progress": 0}
+
+    def put_record(key, kind, payload, meta=None):
+        record = real_put(key, kind, payload, meta)
+        if kind == "progress":
+            puts["progress"] += 1
+            if puts["progress"] == k:
+                raise _Killed(f"simulated kill after progress record {k}")
+        return record
+
+    monkeypatch.setattr(store, "put_record", put_record)
+
+
 class TestCheckpoint:
     def test_round_trip_replays_without_evaluation(
         self, smoke_config, smoke_benchmark, reference_results, tmp_path, monkeypatch
     ):
-        path = str(tmp_path / "sweep.json")
-        first = SweepEngine(smoke_config).run(smoke_benchmark, checkpoint=path)
-        assert _curves(first) == _curves(reference_results)
-        data = json.loads((tmp_path / "sweep.json").read_text())
-        assert len(data["dies"]) == len(SweepEngine(smoke_config).plan())
+        with ResultStore(str(tmp_path / "store")) as store:
+            first = SweepEngine(smoke_config).run(smoke_benchmark, store=store)
+            assert _curves(first) == _curves(reference_results)
+            data = _progress_payloads(store)[-1]
+            assert len(data["dies"]) == len(SweepEngine(smoke_config).plan())
+            # The result supersedes the progress record under the same key:
+            # one live record, and gc drops the superseded progress.
+            assert [s["kind"] for s in store.query()] == ["quality"]
+            assert store.gc()["kept"] == 1
+            assert _progress_payloads(store) == []
 
-        def _must_not_run(entries, context):
-            raise AssertionError("complete checkpoint must not re-evaluate dies")
+            def _must_not_run(entries, context):
+                raise AssertionError("complete sweep must not re-evaluate dies")
 
-        monkeypatch.setattr(engine_module, "_evaluate_shard", _must_not_run)
-        replay = SweepEngine(smoke_config).run(smoke_benchmark, checkpoint=path)
+            monkeypatch.setattr(engine_module, "_evaluate_shard", _must_not_run)
+            replay = SweepEngine(smoke_config).run(smoke_benchmark, store=store)
         assert _curves(replay) == _curves(reference_results)
 
     def test_interrupted_sweep_resumes_bit_identically(
         self, smoke_config, smoke_benchmark, reference_results, tmp_path, monkeypatch
     ):
-        path = str(tmp_path / "interrupted.json")
         real_evaluate = engine_module._evaluate_shard
         completed = {"count": 0}
 
@@ -326,49 +353,57 @@ class TestCheckpoint:
         monkeypatch.setattr(
             engine_module, "_evaluate_shard", _dies_after_two_shards
         )
-        with pytest.raises(RuntimeError, match="simulated kill"):
-            SweepEngine(smoke_config).run(
-                smoke_benchmark, checkpoint=path, shard_size=1
+        with ResultStore(str(tmp_path / "store")) as store:
+            with pytest.raises(RuntimeError, match="simulated kill"):
+                SweepEngine(smoke_config).run(
+                    smoke_benchmark, store=store, shard_size=1
+                )
+            monkeypatch.setattr(engine_module, "_evaluate_shard", real_evaluate)
+
+            partial = _progress_payloads(store)[-1]
+            total_dies = len(SweepEngine(smoke_config).plan())
+            assert 0 < len(partial["dies"]) < total_dies
+            # A half-finished sweep is progress, never a result.
+            assert store.query(kind="quality") == []
+
+            engine = SweepEngine(smoke_config)
+            resumed = engine.run(smoke_benchmark, store=store, shard_size=1)
+            assert _curves(resumed) == _curves(reference_results)
+            assert engine.last_run_stats.evaluated_dies == (
+                total_dies - len(partial["dies"])
             )
-        monkeypatch.setattr(engine_module, "_evaluate_shard", real_evaluate)
-
-        partial = json.loads((tmp_path / "interrupted.json").read_text())
-        total_dies = len(SweepEngine(smoke_config).plan())
-        assert 0 < len(partial["dies"]) < total_dies
-
-        resumed = SweepEngine(smoke_config).run(
-            smoke_benchmark, checkpoint=path, shard_size=1
-        )
-        assert _curves(resumed) == _curves(reference_results)
-        final = json.loads((tmp_path / "interrupted.json").read_text())
+            final = _progress_payloads(store)[-1]
         assert len(final["dies"]) == total_dies
 
-    def test_checkpoint_write_fsyncs_file_and_directory(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kill_after_every_shard_resumes_bit_identically(
+        self, smoke_config, smoke_benchmark, reference_results, tmp_path,
+        monkeypatch, workers,
     ):
-        # Atomic-rename alone is not durable: the temp file must be fsynced
-        # before the rename and the directory after it, or a crash can leave
-        # the checkpoint name pointing at truncated data.
-        real_fsync = os.fsync
-        synced = []
-
-        def counting_fsync(fd):
-            synced.append(os.fstat(fd).st_mode)
-            real_fsync(fd)
-
-        monkeypatch.setattr(os, "fsync", counting_fsync)
-        path = tmp_path / "sweep.json"
-        payload = {"version": 1, "config_hash": "abc", "dies": {"0": [0.5]}}
-        engine_module._write_checkpoint_payload(str(path), payload)
-        assert sum(stat.S_ISREG(mode) for mode in synced) >= 1
-        assert sum(stat.S_ISDIR(mode) for mode in synced) >= 1
-        assert json.loads(path.read_text()) == payload
+        # One die per shard, so a kill after shard k leaves exactly k dies;
+        # k == total is a kill between the last progress record and the
+        # result record, which must resume without evaluating anything.
+        total_dies = len(SweepEngine(smoke_config).plan())
+        for k in range(1, total_dies + 1):
+            root = str(tmp_path / f"store-{k}")
+            with monkeypatch.context() as patch, ResultStore(root) as store:
+                _kill_after_progress(store, patch, k)
+                with pytest.raises(_Killed):
+                    SweepEngine(smoke_config).run(
+                        smoke_benchmark, store=store, workers=workers,
+                        shard_size=1,
+                    )
+            with ResultStore(root) as store:
+                engine = SweepEngine(smoke_config)
+                resumed = engine.run(
+                    smoke_benchmark, store=store, workers=workers, shard_size=1
+                )
+            assert _curves(resumed) == _curves(reference_results), k
+            assert engine.last_run_stats.evaluated_dies == total_dies - k
 
     def test_mismatched_config_hash_rejected(
         self, smoke_config, smoke_benchmark, tmp_path
     ):
-        path = str(tmp_path / "sweep.json")
-        SweepEngine(smoke_config).run(smoke_benchmark, checkpoint=path)
         other = ExperimentConfig(
             rows=smoke_config.rows,
             word_width=smoke_config.word_width,
@@ -379,31 +414,53 @@ class TestCheckpoint:
             master_seed=smoke_config.master_seed + 1,
             scheme_specs=smoke_config.scheme_specs,
         )
-        with pytest.raises(ValueError, match="different experiment"):
-            SweepEngine(other).run(smoke_benchmark, checkpoint=path)
+        with ResultStore(str(tmp_path / "store")) as store:
+            # Progress of one configuration filed under another's key.
+            store.put_record(
+                SweepEngine(other).config_hash(smoke_benchmark),
+                "progress",
+                {
+                    "version": 1,
+                    "config_hash": SweepEngine(smoke_config).config_hash(
+                        smoke_benchmark
+                    ),
+                    "dies": {},
+                },
+            )
+            with pytest.raises(ValueError, match="different experiment"):
+                SweepEngine(other).run(smoke_benchmark, store=store)
 
     def test_unsupported_checkpoint_version_rejected(
         self, smoke_config, smoke_benchmark, tmp_path
     ):
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({"version": 999, "dies": {}}))
-        with pytest.raises(ValueError, match="version"):
-            SweepEngine(smoke_config).run(
-                smoke_benchmark, checkpoint=str(path)
+        key = SweepEngine(smoke_config).config_hash(smoke_benchmark)
+        with ResultStore(str(tmp_path / "store")) as store:
+            store.put_record(
+                key, "progress", {"version": 999, "config_hash": key, "dies": {}}
             )
+            with pytest.raises(ValueError, match="version"):
+                SweepEngine(smoke_config).run(smoke_benchmark, store=store)
+
+    def test_foreign_record_under_the_key_is_rejected(
+        self, smoke_config, smoke_benchmark, tmp_path
+    ):
+        key = SweepEngine(smoke_config).config_hash(smoke_benchmark)
+        with ResultStore(str(tmp_path / "store")) as store:
+            store.put_record(key, "mse", {"schemes": []})
+            with pytest.raises(ValueError, match="'mse' results"):
+                SweepEngine(smoke_config).run(smoke_benchmark, store=store)
 
     def test_fixed_point_override_enters_checkpoint_hash(
         self, smoke_benchmark, tmp_path
     ):
-        # Regression: the effective quantisation format must key the cache --
+        # Regression: the effective quantisation format must key the store --
         # a resume under a different format would silently replay wrong
         # curves otherwise.
         from repro.quantize.fixedpoint import FixedPointFormat
 
         org = MemoryOrganization(rows=128, word_width=32)
-        path = str(tmp_path / "fp.json")
 
-        def run(frac_bits):
+        def run(frac_bits, store):
             runner = QualityExperimentRunner(
                 org,
                 p_cell=4e-3,
@@ -416,20 +473,21 @@ class TestCheckpoint:
                 [NoProtection(32)],
                 samples_per_count=2,
                 n_count_points=2,
-                checkpoint=path,
+                store=store,
             )
 
-        run(4)
-        with pytest.raises(ValueError, match="different experiment"):
-            run(24)
+        with ResultStore(str(tmp_path / "store")) as store:
+            coarse = run(4, store)
+            fine = run(24, store)
+            assert len(store.query(kind="quality")) == 2
+        assert _curves(coarse) != _curves(fine)
 
     def test_legacy_runner_checkpoint_round_trip(
         self, smoke_benchmark, tmp_path, monkeypatch
     ):
         org = MemoryOrganization(rows=128, word_width=32)
-        path = str(tmp_path / "legacy.json")
 
-        def run():
+        def run(store):
             runner = QualityExperimentRunner(
                 org, p_cell=4e-3, rng=np.random.default_rng(11), coverage=0.9
             )
@@ -438,18 +496,19 @@ class TestCheckpoint:
                 [NoProtection(32)],
                 samples_per_count=2,
                 n_count_points=2,
-                checkpoint=path,
+                store=store,
             )
 
-        first = run()
+        with ResultStore(str(tmp_path / "store")) as store:
+            first = run(store)
 
-        def _must_not_run(entries, context):
-            raise AssertionError("complete checkpoint must not re-evaluate dies")
+            def _must_not_run(entries, context):
+                raise AssertionError("complete sweep must not re-evaluate dies")
 
-        monkeypatch.setattr(engine_module, "_evaluate_shard", _must_not_run)
-        # The runner re-draws the same dies from the same generator seed, so
-        # the checkpoint hash matches and the cached results replay.
-        assert _curves(run()) == _curves(first)
+            monkeypatch.setattr(engine_module, "_evaluate_shard", _must_not_run)
+            # The runner re-draws the same dies from the same generator seed,
+            # so the configuration hash matches and the stored results replay.
+            assert _curves(run(store)) == _curves(first)
 
 
 # --------------------------------------------------------------------------- #

@@ -211,7 +211,7 @@ def test_kill_and_resume_from_store(tmp_path):
                 ParetoOptimizer(
                     spec, optimizer=_MULTIRUNG_OPT, store=crashing
                 ).run()
-            # Relaunch against the surviving store (fresh checkpoint dir):
+            # Relaunch against the surviving store (fresh progress store):
             # completed rungs replay, the rest recompute, and the outcome is
             # bit-identical to the uninterrupted reference run.
             resumed = ParetoOptimizer(
@@ -222,6 +222,49 @@ def test_kill_and_resume_from_store(tmp_path):
         assert resumed.store_hits == crash_after
         assert resumed.evaluated_dies < reference.evaluated_dies
         assert _result_fingerprint(resumed) == _result_fingerprint(reference)
+
+
+def test_progress_lives_in_its_own_store_and_a_warm_pass_writes_nothing(
+    tmp_path,
+):
+    spec = _smoke_spec(operating_grid=OperatingGridSpec(vdd_values=(0.60, 0.65)))
+    cold_progress = tmp_path / "progress-cold"
+    warm_progress = tmp_path / "progress-warm"
+    with ResultStore(str(tmp_path / "store")) as store:
+        cold = ParetoOptimizer(
+            spec, optimizer=_MULTIRUNG_OPT, store=store,
+            checkpoint_dir=str(cold_progress),
+        ).run()
+        # The user's store holds exactly the rung records; round state went
+        # to the progress store, one live record per cell.
+        assert {s["kind"] for s in store.query()} == {"dse-rung"}
+        warm = ParetoOptimizer(
+            spec, optimizer=_MULTIRUNG_OPT, store=store,
+            checkpoint_dir=str(warm_progress),
+        ).run()
+    with ResultStore(str(cold_progress), create=False) as progress:
+        summaries = progress.query()
+    assert {s["kind"] for s in summaries} == {"progress"}
+    assert len(summaries) == len(cold.cell_statuses)
+    assert warm.evaluated_dies == 0
+    assert not warm_progress.exists()
+    assert _result_fingerprint(warm) == _result_fingerprint(cold)
+
+
+def test_kept_progress_past_the_rung0_cap_is_rejected(tmp_path):
+    # Re-running on a kept progress store without the rung records would
+    # resume rung 0 from a later rung's state; that must fail loudly rather
+    # than silently report the later state as the rung-0 result.
+    spec = _smoke_spec(operating_grid=OperatingGridSpec(vdd_values=(0.65,)))
+    progress = str(tmp_path / "progress")
+    first = ParetoOptimizer(
+        spec, optimizer=_MULTIRUNG_OPT, checkpoint_dir=progress
+    ).run()
+    assert first.cell_statuses[0]["last_rung"] >= 1
+    with pytest.raises(ValueError, match="die cap"):
+        ParetoOptimizer(
+            spec, optimizer=_MULTIRUNG_OPT, checkpoint_dir=progress
+        ).run()
 
 
 def test_optimizer_spec_json_round_trip():

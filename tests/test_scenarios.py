@@ -6,7 +6,7 @@ spec round-trip, and the cross-layer integration contracts:
 * the default ``iid-pcell`` scenario is *bit-identical* to the historical
   direct sampling (stream equality, config hashes, engine results);
 * non-default scenarios flow through seeded per-die sampling, process
-  fan-out, and checkpoint/resume, with the scenario keying the cache;
+  fan-out, and store-backed resume, with the scenario keying the hash;
 * the clustered transform's vectorized and scalar samplers agree
   distributionally and respect the per-word fault limit.
 """
@@ -73,7 +73,7 @@ class TestCatalog:
 
     def test_fractional_integer_parameters_fail_loudly(self):
         # Silent truncation would run a different scenario than the one the
-        # checkpoint hash records.
+        # configuration hash records.
         with pytest.raises(ValueError, match="must be an integer"):
             build_scenario("clustered", cluster_size=2.9)
         with pytest.raises(ValueError, match="must be an integer"):
@@ -172,7 +172,7 @@ class TestDefaultScenarioIdentity:
         assert explicit == ExperimentConfig(rows=64)
 
     def test_default_config_hash_unchanged_by_scenario_layer(self):
-        # The default pipeline must not perturb existing checkpoint hashes.
+        # The default pipeline must not perturb existing configuration hashes.
         base = ExperimentConfig(rows=64, master_seed=3)
         spec_form = ExperimentConfig(
             rows=64, master_seed=3, scenario=ScenarioSpec("default")
@@ -308,7 +308,7 @@ class TestClusterTransform:
 
     def test_aged_variability_is_not_a_parameter(self):
         # The aged scenario acts only through the mean drift; exposing the
-        # per-cell spread would fragment checkpoint caches for no effect.
+        # per-cell spread would fragment store keys for no effect.
         with pytest.raises(ValueError, match="invalid parameters"):
             build_scenario("aged", variability=0.5)
         aged = build_scenario("aged", years=5.0)
@@ -469,19 +469,22 @@ class TestEngineIntegration:
             ), f"scenario {name} did not change the distribution"
 
     def test_checkpoint_resume_is_keyed_by_scenario(self, tmp_path):
+        from repro.store import ResultStore
+
         clustered = self._config(ScenarioSpec("clustered"))
-        path = str(tmp_path / "ckpt.json")
-        first = SweepEngine(clustered).run_mse(workers=1, checkpoint=path)
-        # Replay from the cache is bit-identical.
-        replay = SweepEngine(clustered).run_mse(workers=1, checkpoint=path)
-        for name in first:
-            assert np.array_equal(
-                first[name].ecdf.curve()[1], replay[name].ecdf.curve()[1]
-            )
-        # A different scenario must refuse the cache, not silently reuse it.
-        aged = self._config(ScenarioSpec("aged"))
-        with pytest.raises(ValueError, match="different experiment"):
-            SweepEngine(aged).run_mse(workers=1, checkpoint=path)
+        with ResultStore(str(tmp_path / "store")) as store:
+            first = SweepEngine(clustered).run_mse(workers=1, store=store)
+            # Replay from the store is bit-identical.
+            replay = SweepEngine(clustered).run_mse(workers=1, store=store)
+            for name in first:
+                assert np.array_equal(
+                    first[name].ecdf.curve()[1], replay[name].ecdf.curve()[1]
+                )
+            # A different scenario must miss the store, not silently reuse it.
+            aged = SweepEngine(self._config(ScenarioSpec("aged")))
+            aged.run_mse(workers=1, store=store)
+            assert aged.last_run_stats.store_hit is False
+            assert store.record_count() == 2
 
     def test_legacy_sampling_supports_scenarios(self):
         from repro.dse.evaluate import evaluate_mse_point
@@ -639,35 +642,39 @@ class TestDseEndToEnd:
     ):
         from repro.dse.explore import DesignSpaceExplorer
 
-        cache = str(tmp_path / "cache")
-        explorer = DesignSpaceExplorer(
-            self._spec(scenario), workers=1, checkpoint_dir=cache
-        )
-        result = explorer.run()
-        assert len(result.rows) == 4
-        frontier = result.pareto()
-        assert 1 <= len(frontier) <= 4
-        # Resume from the per-point caches is bit-identical.
-        replay = DesignSpaceExplorer(
-            self._spec(scenario), workers=1, checkpoint_dir=cache
-        ).run()
+        from repro.store import ResultStore
+
+        with ResultStore(str(tmp_path / "store")) as store:
+            explorer = DesignSpaceExplorer(
+                self._spec(scenario), workers=1, store=store
+            )
+            result = explorer.run()
+            assert len(result.rows) == 4
+            frontier = result.pareto()
+            assert 1 <= len(frontier) <= 4
+            # Replay from the per-point records is bit-identical.
+            replay = DesignSpaceExplorer(
+                self._spec(scenario), workers=1, store=store
+            ).run()
         assert replay.rows == result.rows
 
     def test_scenarios_use_disjoint_checkpoint_files(self, tmp_path):
         from repro.dse.explore import DesignSpaceExplorer
 
-        cache = tmp_path / "cache"
+        from repro.store import ResultStore
+
         names = {}
-        for scenario in (None, ScenarioSpec("aged"), ScenarioSpec("clustered")):
-            spec = (
-                self._spec(scenario)
-                if scenario is not None
-                else self._spec(ScenarioSpec())
-            )
-            DesignSpaceExplorer(spec, checkpoint_dir=str(cache)).run()
-            key = scenario.name if scenario is not None else "iid"
-            names[key] = {p.name for p in cache.iterdir()}
-        # Each scenario added its own cache files on top of the previous ones.
+        with ResultStore(str(tmp_path / "store")) as store:
+            for scenario in (None, ScenarioSpec("aged"), ScenarioSpec("clustered")):
+                spec = (
+                    self._spec(scenario)
+                    if scenario is not None
+                    else self._spec(ScenarioSpec())
+                )
+                DesignSpaceExplorer(spec, store=store).run()
+                key = scenario.name if scenario is not None else "iid"
+                names[key] = set(store.keys())
+        # Each scenario added its own records on top of the previous ones.
         assert names["iid"] < names["aged"] < names["clustered"]
 
 

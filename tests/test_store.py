@@ -148,6 +148,31 @@ class TestStoreBasics:
         with ResultStore(root) as store:
             assert store.get_record(key)["payload"] == {"generation": 1}
 
+    def test_append_fsyncs_segment_and_directory_on_creation(
+        self, tmp_path, monkeypatch
+    ):
+        # An acknowledged record must survive a crash: the segment is fsynced
+        # after every append, and the directory once when the segment file
+        # is created (or the new name itself may not reach the disk).
+        import stat
+
+        real_fsync = os.fsync
+        synced = []
+
+        def counting_fsync(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        with SegmentWriter(str(tmp_path)) as writer:
+            writer.append({"n": 1})
+            assert synced == [True, False]
+            writer.append({"n": 2})
+            assert synced == [True, False, False]
+            name = writer.name
+        lines = (tmp_path / name).read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [{"n": 1}, {"n": 2}]
+
     def test_torn_trailing_write_is_detected(self, tmp_path):
         root = str(tmp_path / "s")
         with ResultStore(root) as store:
@@ -600,6 +625,35 @@ class TestInvalidation:
             assert len(dirty_grid_points(store, deeper)) == len(
                 deeper.operating_points()
             )
+
+    def test_half_finished_point_stays_dirty(self, tmp_path, monkeypatch):
+        """A point whose sweep was killed holds only a progress record under
+        its key; it is not a result, so the point must be listed dirty."""
+        spec = _store_spec(
+            operating_grid=OperatingGridSpec(vdd_values=(0.70,))
+        )
+
+        def _killed(entries, context):
+            raise RuntimeError("simulated kill")
+
+        with ResultStore(str(tmp_path / "s")) as store:
+            real_put = store.put_record
+
+            def put_then_kill(key, kind, payload, meta=None):
+                real_put(key, kind, payload, meta)
+                monkeypatch.setattr(engine_module, "_evaluate_shard", _killed)
+
+            monkeypatch.setattr(store, "put_record", put_then_kill)
+            with pytest.raises(RuntimeError, match="simulated kill"):
+                DesignSpaceExplorer(spec, store=store).run()
+            monkeypatch.undo()
+            (status,) = grid_point_statuses(store, spec)
+            assert [s["kind"] for s in store.query()] == ["progress"]
+            assert store.query()[0]["key"] == status.key
+            assert dirty_grid_points(store, spec) == [status]
+
+            DesignSpaceExplorer(spec, store=store).run()
+            assert dirty_grid_points(store, spec) == []
 
     def test_dirty_points_requires_a_store(self):
         explorer = DesignSpaceExplorer(_store_spec())
